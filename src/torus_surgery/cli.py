@@ -74,24 +74,17 @@ def _report_line(rep: surgery.SurgeryReport) -> str:
     )
 
 
-def cmd_h1(args) -> int:
-    rep = surgery.report(_descriptor_from_args(args))
-    if args.json:
-        print(json.dumps(rep.to_json()))
-    else:
-        print(_report_line(rep))
-    return 0
-
-
 def cmd_report(args) -> int:
+    """``h1`` and ``report``; only ``report`` prints the relation matrix."""
     rep = surgery.report(_descriptor_from_args(args))
     if args.json:
         print(json.dumps(rep.to_json()))
     else:
         print(_report_line(rep))
-        print("relations:")
-        for row in rep.relations:
-            print("  " + " ".join(f"{v:3d}" for v in row))
+        if args.command == "report":
+            print("relations:")
+            for row in rep.relations:
+                print("  " + " ".join(f"{v:3d}" for v in row))
     return 0
 
 
@@ -236,7 +229,10 @@ def cmd_sweep(args) -> int:
         classes = surgery.sweep(descriptors)
     lines = [json.dumps(c.to_json()) for c in classes]
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
+        try:
+            Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}")
     else:
         for line in lines:
             print(line)
@@ -270,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_h1 = sub.add_parser("h1", help="first homology and bounds")
     add_descriptor_flags(p_h1)
-    p_h1.set_defaults(func=cmd_h1)
+    p_h1.set_defaults(func=cmd_report)
 
     p_report = sub.add_parser("report", help="full report incl. relation matrix")
     add_descriptor_flags(p_report)

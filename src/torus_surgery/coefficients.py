@@ -127,11 +127,6 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _monomial_key(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    # Lex order on the declared symbol order; larger key = later monomial.
-    return exponents
-
-
 class Polynomial:
     """Sparse multivariate polynomial over the Gaussian rationals.
 
@@ -260,14 +255,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> GaussianRational:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()), ZERO)
-
     # -- structure --------------------------------------------------------
 
     def contains(self, name: str) -> bool:
@@ -275,10 +262,11 @@ class Polynomial:
         return any(exps[idx] > 0 for exps in self.terms)
 
     def leading(self) -> tuple[tuple[int, ...], GaussianRational]:
-        """Lex-largest monomial and its coefficient."""
+        """Lex-largest monomial (exponent tuples compare in the declared
+        symbol order) and its coefficient."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_monomial_key)
+        exps = max(self.terms)
         return exps, self.terms[exps]
 
     def monomial_content(self) -> tuple[int, ...]:
@@ -355,7 +343,7 @@ class Polynomial:
         if self.is_zero():
             return "0"
         pieces = []
-        for exps in sorted(self.terms, key=_monomial_key):
+        for exps in sorted(self.terms):
             coeff = self.terms[exps]
             factors = [
                 sym if e == 1 else f"{sym}^{e}"
@@ -500,6 +488,9 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
     def contains(self, name: str) -> bool:
         return self.num.contains(name) or self.den.contains(name)
 
@@ -534,3 +525,34 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
+
+
+def _gauss_jordan(rows):
+    """Gauss-Jordan elimination over an exact field whose zero is falsy
+    (``Fraction``, ``GaussianRational`` or ``RationalFunction``).
+
+    Each column's pivot is the first nonzero entry at or below the current
+    row; a column with none is skipped. Returns the reduced rows and one
+    ``(found_row, column, value)`` record per pivot: the row the pivot was
+    found in before the swap, its column, and its value before its row is
+    scaled to 1. Rank, determinant, leading minors and inverse are all read
+    off these records.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        if top == len(a):
+            break
+        found = next((r for r in range(top, len(a)) if a[r][col]), None)
+        if found is None:
+            continue
+        a[top], a[found] = a[found], a[top]
+        value = a[top][col]
+        a[top] = [v / value for v in a[top]]
+        for r in range(len(a)):
+            factor = a[r][col]
+            if r != top and factor:
+                a[r] = [v - factor * w for v, w in zip(a[r], a[top])]
+        pivots.append((found, col, value))
+    return a, pivots

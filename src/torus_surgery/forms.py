@@ -18,6 +18,7 @@ from .coefficients import (
     GaussianRational,
     Polynomial,
     RationalFunction,
+    _gauss_jordan,
 )
 
 GENERATORS = ("dx", "dy", "dz", "dw", "ds1", "ds2")
@@ -171,9 +172,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {len(k) for k in self.terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         degs = self.degrees()
         if len(degs) > 1:
@@ -266,10 +264,6 @@ class Form:
     __repr__ = __str__
 
 
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
 # -- small exact matrix helpers over the coefficient field -----------------
 
 
@@ -310,46 +304,25 @@ def mat_sub(a, b) -> list[list[RationalFunction]]:
 
 
 def mat_inverse(m: list[list[RationalFunction]]) -> list[list[RationalFunction]]:
-    """Gauss-Jordan inverse over the rational-function field."""
+    """Gauss-Jordan inverse over the rational-function field: reduce
+    [m | I] and read off the right half."""
     n = len(m)
-    a = [row[:] for row in m]
-    inv = mat_identity(n)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col].is_zero():
-                continue
-            factor = a[r][col]
-            a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-            inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return inv
+    reduced, pivots = _gauss_jordan(
+        [row + unit for row, unit in zip(m, mat_identity(n))]
+    )
+    if any(col >= n for _, col, _ in pivots):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
 def mat_determinant(m: list[list[RationalFunction]]) -> RationalFunction:
-    n = len(m)
-    a = [row[:] for row in m]
+    """The sign of the row swaps times the product of the pivots."""
+    _, pivots = _gauss_jordan(m)
+    if len(pivots) < len(m):
+        return RationalFunction.zero()
     det = RationalFunction.constant(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if pivot is None:
-            return RationalFunction.zero()
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        for r in range(col + 1, n):
-            factor = a[r][col]
-            if not factor.is_zero():
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
+    for step, (found, _, value) in enumerate(pivots):
+        det = det * value if found == step else -det * value
     return det
 
 
@@ -416,10 +389,6 @@ class CoframeMap:
         return CoframeMap(_matrix_to_images(mat_inverse(self.matrix)))
 
 
-def pullback(map_: CoframeMap, form: Form) -> Form:
-    return map_.pullback(form)
-
-
 def compose(first: CoframeMap, second: CoframeMap) -> CoframeMap:
     """The map m with pullback(m, h) = pullback(second, pullback(first, h)).
 
@@ -482,9 +451,12 @@ class LinearOperator:
 
     def conjugate_by(self, map_: CoframeMap) -> "LinearOperator":
         """T o J o T^-1 where T is the coframe map's linear action."""
-        t = map_.matrix
-        t_inv = map_.inverse().matrix
-        return LinearOperator.from_matrix(mat_mul(t, mat_mul(self.matrix, t_inv)))
+        if map_.symbol_substitution:
+            raise ValueError("cannot invert a map with a symbol substitution")
+        t_inv = mat_inverse(map_.matrix)
+        return LinearOperator.from_matrix(
+            mat_mul(map_.matrix, mat_mul(self.matrix, t_inv))
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearOperator):
@@ -497,10 +469,6 @@ class LinearOperator:
 def operator_pullback(map_: CoframeMap, operator: LinearOperator) -> LinearOperator:
     """phi^*(J) = (phi^*) o J o (phi^*)^-1 on 1-forms."""
     return operator.conjugate_by(map_)
-
-
-def operator_square(operator: LinearOperator) -> list[list[RationalFunction]]:
-    return operator.square()
 
 
 def omega_matrix(omega: Form) -> list[list[RationalFunction]]:
@@ -557,8 +525,16 @@ def compatibility_check(
     for sample in samples:
         count += 1
         values = [[entry.evaluate(sample) for entry in row] for row in metric]
+        _, pivots = _gauss_jordan(values)
+        # While every pivot so far sits on the diagonal, the leading minor of
+        # size m is the product of the first m pivots; the first pivot off
+        # the diagonal (or missing) means that minor is 0.
+        minor = GaussianRational(1)
         for m in range(1, len(values) + 1):
-            minor = _rational_det([row[:m] for row in values[:m]])
+            if m <= len(pivots) and pivots[m - 1][:2] == (m - 1, m - 1):
+                minor = minor * pivots[m - 1][2]
+            else:
+                minor = GaussianRational(0)
             if not minor.is_real():
                 failures.append((dict(sample), m, "non-real minor"))
                 break
@@ -566,24 +542,3 @@ def compatibility_check(
                 failures.append((dict(sample), m, str(minor.re)))
                 break
     return CompatibilityReport(invariant, symmetric, failures, count)
-
-
-def _rational_det(values: list[list[GaussianRational]]) -> GaussianRational:
-    n = len(values)
-    a = [row[:] for row in values]
-    det = GaussianRational(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return GaussianRational(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det = det * a[col][col]
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        for r in range(col + 1, n):
-            factor = a[r][col]
-            if factor:
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-    return det

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .coefficients import _gauss_jordan
+
 COORDINATES = (1, 2, 3, 4, 5, 6)
 CIRCLE_LABELS = ("z", "w", "s1", "s2")
 
@@ -288,23 +290,10 @@ def find_dual_torus(i: int) -> CoordinateSubtorus:
 
 
 def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by row reduction with exact fractions."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        scale = rows[rank][col]
-        rows[rank] = [v / scale for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    """Rank over the rationals: the number of pivots of an exact row
+    reduction."""
+    _, pivots = _gauss_jordan([[Fraction(v) for v in row] for row in matrix])
+    return len(pivots)
 
 
 @dataclass(frozen=True)

@@ -106,11 +106,6 @@ def almost_complex_structure(
     )
 
 
-def twisted_symplectic_form(k: KParam) -> Form:
-    """omega_k = omega - k*y*f dx^dy (same shape as the interpolated form)."""
-    return interpolated_form(k)
-
-
 def canonical_section_flat() -> Form:
     """s_0 = (dx + i dz)^(dw + i dy)^(ds1 + i ds2)."""
     a = Form.from_terms((1, "dx"), (I, "dz"))
@@ -334,7 +329,7 @@ def check_theorem5(
     j_k = almost_complex_structure(k, drop_quadratic_term).conjugate_by(twist)
     j_0 = almost_complex_structure(0).conjugate_by(twist)
     omega = standard_symplectic_form()
-    omega_k = twist.pullback(twisted_symplectic_form(k))
+    omega_k = twist.pullback(interpolated_form(k))
     section_k = twist.pullback(canonical_section(k))
     section_0 = twist.pullback(canonical_section_flat())
 

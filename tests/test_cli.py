@@ -216,6 +216,16 @@ class TestSweep:
         assert out == ""
         assert "classes: 0" in err
 
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "sweep.jsonl"
+        code, out, err = run(
+            capsys, "sweep", "--k-min", "0", "--k-max", "0", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err
+
     def test_bad_tau_file(self, capsys, tmp_path):
         path = tmp_path / "taus.json"
         path.write_text(json.dumps([[[2, 0], [0, 2]]]))

@@ -1,5 +1,6 @@
 """Exterior algebra: wedge laws, pullbacks, derivatives, operators."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,14 @@ from torus_surgery.forms import (
     compatibility_check,
     compose,
     mat_equal,
+    mat_determinant,
     mat_identity,
+    mat_inverse,
     mat_mul,
     mat_neg,
     operator_pullback,
 )
+from torus_surgery.lattice import int_determinant, rational_rank
 from torus_surgery.verification import (
     almost_complex_structure,
     gluing_map,
@@ -324,6 +328,65 @@ class TestLinearOperator:
         lhs = operator_pullback(compose(phi, shear), j0)
         rhs = operator_pullback(shear, operator_pullback(phi, j0))
         assert lhs == rhs
+
+
+@st.composite
+def small_matrices(draw, square=False):
+    """Integer or Fraction matrices up to 5 x 5, zero-heavy so that row
+    swaps, skipped pivot columns and singular matrices are common."""
+    entries = draw(st.sampled_from((
+        st.integers(min_value=-2, max_value=2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    )))
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = m if square else draw(st.integers(min_value=1, max_value=5))
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+def rank_by_minors(matrix):
+    """Largest size of a nonzero minor."""
+    m, n = len(matrix), len(matrix[0])
+    for size in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), size):
+            for cols in itertools.combinations(range(n), size):
+                if int_determinant([[matrix[i][j] for j in cols] for i in rows]):
+                    return size
+    return 0
+
+
+def _constant_matrix(matrix):
+    return [[RationalFunction.constant(v) for v in row] for row in matrix]
+
+
+class TestMatrixElimination:
+    """The shared Gauss-Jordan routine, through each of its callers, against
+    cofactor expansion."""
+
+    @given(small_matrices(square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_determinant_matches_cofactor_expansion(self, matrix):
+        det = mat_determinant(_constant_matrix(matrix))
+        assert det == RationalFunction.constant(int_determinant(matrix))
+
+    @given(small_matrices(square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_or_singular(self, matrix):
+        m = _constant_matrix(matrix)
+        if int_determinant(matrix) == 0:
+            with pytest.raises(ValueError):
+                mat_inverse(m)
+        else:
+            assert mat_equal(mat_mul(m, mat_inverse(m)), mat_identity(len(m)))
+
+    def test_singular_symbolic_matrix_raises(self):
+        x = RationalFunction.variable("x")
+        with pytest.raises(ValueError):
+            mat_inverse([[x, x * x], [RationalFunction.constant(1), x]])
+
+    @given(small_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_matches_largest_nonzero_minor(self, matrix):
+        assert rational_rank(matrix) == rank_by_minors(matrix)
 
 
 class TestCompatibility:

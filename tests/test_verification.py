@@ -22,6 +22,41 @@ from torus_surgery.verification import (
 )
 
 
+# The positivity residual of the dropped-quadratic-term control, computed
+# with a separate determinant for each leading minor rather than from the
+# pivots of one elimination: 12 failures at minor 2, 2 at minor 4.
+DROPPED_QUADRATIC_POSITIVITY_RESIDUAL = (
+    "minor 2 at {'x': Fraction(-9, 20), 'y': Fraction(-3, 5),"
+    " 'f': Fraction(8, 9), 'k': Fraction(-3, 1)}: -79/625; "
+    "minor 2 at {'x': Fraction(9, 20), 'y': Fraction(3, 5),"
+    " 'f': Fraction(10, 9), 'k': Fraction(-3, 1)}: -4; "
+    "minor 2 at {'x': Fraction(9, 20), 'y': Fraction(-3, 5),"
+    " 'f': Fraction(4, 3), 'k': Fraction(-3, 1)}: -7439/625; "
+    "minor 2 at {'x': Fraction(-3, 5), 'y': Fraction(9, 20),"
+    " 'f': Fraction(14, 9), 'k': Fraction(-3, 1)}: -72911/2500; "
+    "minor 4 at {'x': Fraction(9, 20), 'y': Fraction(3, 5),"
+    " 'f': Fraction(10, 9), 'k': Fraction(-2, 1)}: 0; "
+    "minor 2 at {'x': Fraction(9, 20), 'y': Fraction(-3, 5),"
+    " 'f': Fraction(4, 3), 'k': Fraction(-2, 1)}: -79/625; "
+    "minor 2 at {'x': Fraction(-3, 5), 'y': Fraction(9, 20),"
+    " 'f': Fraction(14, 9), 'k': Fraction(-2, 1)}: -21766/5625; "
+    "minor 4 at {'x': Fraction(9, 20), 'y': Fraction(3, 5),"
+    " 'f': Fraction(10, 9), 'k': Fraction(2, 1)}: 0; "
+    "minor 2 at {'x': Fraction(9, 20), 'y': Fraction(-3, 5),"
+    " 'f': Fraction(4, 3), 'k': Fraction(2, 1)}: -79/625; "
+    "minor 2 at {'x': Fraction(-3, 5), 'y': Fraction(9, 20),"
+    " 'f': Fraction(14, 9), 'k': Fraction(2, 1)}: -21766/5625; "
+    "minor 2 at {'x': Fraction(-9, 20), 'y': Fraction(-3, 5),"
+    " 'f': Fraction(8, 9), 'k': Fraction(3, 1)}: -79/625; "
+    "minor 2 at {'x': Fraction(9, 20), 'y': Fraction(3, 5),"
+    " 'f': Fraction(10, 9), 'k': Fraction(3, 1)}: -4; "
+    "minor 2 at {'x': Fraction(9, 20), 'y': Fraction(-3, 5),"
+    " 'f': Fraction(4, 3), 'k': Fraction(3, 1)}: -7439/625; "
+    "minor 2 at {'x': Fraction(-3, 5), 'y': Fraction(9, 20),"
+    " 'f': Fraction(14, 9), 'k': Fraction(3, 1)}: -72911/2500"
+)
+
+
 class TestGluingFormInterpolation:
     def test_passes_for_concrete_k(self):
         rep = check_lemma2(0)
@@ -123,6 +158,10 @@ class TestCanonicalClassVanishing:
         assert not rep.passed
         failing = [c.label for c in rep.claims if not c.passed]
         assert any("J^2" in label for label in failing)
+        positivity = next(
+            c for c in rep.claims if c.label == "(b) metric positive at 56 samples"
+        )
+        assert positivity.residual == DROPPED_QUADRATIC_POSITIVITY_RESIDUAL
 
 
 class TestNegativeControls:
