@@ -207,6 +207,8 @@ def _load_tau_file(path: str | None) -> list[surgery.SL2Z]:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise InputError(f"bad tau file {path}: {exc}")
+    if not isinstance(data, list):
+        raise InputError(f"bad tau file {path}: expected a JSON list of matrices")
     taus = []
     for index, entry in enumerate(data):
         try:

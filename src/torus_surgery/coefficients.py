@@ -2,18 +2,19 @@
 polynomials over them, and rational functions (quotients of polynomials).
 
 Everything here is immutable and exact; no floats anywhere. Rational
-functions are the coefficient ring for differential forms: they carry the
-radial profile symbol ``f`` abstractly and admit substitutions such as
-``f -> 1/(x^2+y^2)``.
+functions are the coefficient ring for differential forms. Every polynomial
+lives over the same four symbols: the disk coordinates ``x`` and ``y``, the
+twist ``k`` and the radial profile ``f``, which stays abstract until a
+substitution such as ``f -> 1/(x^2+y^2)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 #: Symbol order is fixed; monomials are compared lexicographically on it.
-DEFAULT_SYMBOLS = ("x", "y", "k", "f", "p", "q", "r", "s")
+SYMBOLS = ("x", "y", "k", "f")
 
 RationalLike = Union[int, Fraction]
 
@@ -105,9 +106,6 @@ class GaussianRational:
             n >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def is_real(self) -> bool:
         return self.im == 0
 
@@ -130,27 +128,22 @@ I = GaussianRational(0, 1)
 class Polynomial:
     """Sparse multivariate polynomial over the Gaussian rationals.
 
-    Terms map exponent tuples (aligned with ``symbols``) to nonzero
+    Terms map exponent tuples (aligned with ``SYMBOLS``) to nonzero
     coefficients; the zero polynomial has no terms.
     """
 
-    __slots__ = ("symbols", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(
-        self,
-        terms: Mapping[tuple[int, ...], GaussianRational] | None = None,
-        symbols: tuple[str, ...] = DEFAULT_SYMBOLS,
-    ):
+    def __init__(self, terms: Mapping[tuple[int, ...], GaussianRational] | None = None):
         clean: dict[tuple[int, ...], GaussianRational] = {}
         if terms:
             for exps, coeff in terms.items():
                 coeff = GaussianRational.coerce(coeff)
                 if not coeff:
                     continue
-                if len(exps) != len(symbols):
+                if len(exps) != len(SYMBOLS):
                     raise ValueError("exponent tuple does not match symbol list")
                 clean[tuple(exps)] = coeff
-        object.__setattr__(self, "symbols", tuple(symbols))
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -159,39 +152,25 @@ class Polynomial:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, symbols: tuple[str, ...] = DEFAULT_SYMBOLS) -> "Polynomial":
-        return cls({}, symbols)
+    def zero(cls) -> "Polynomial":
+        return cls({})
 
     @classmethod
-    def constant(
-        cls,
-        value: GaussianRational | RationalLike,
-        symbols: tuple[str, ...] = DEFAULT_SYMBOLS,
-    ) -> "Polynomial":
-        value = GaussianRational.coerce(value)
-        exps = (0,) * len(symbols)
-        return cls({exps: value}, symbols)
+    def constant(cls, value: GaussianRational | RationalLike) -> "Polynomial":
+        return cls({(0,) * len(SYMBOLS): GaussianRational.coerce(value)})
 
     @classmethod
-    def variable(
-        cls, name: str, symbols: tuple[str, ...] = DEFAULT_SYMBOLS
-    ) -> "Polynomial":
-        if name not in symbols:
+    def variable(cls, name: str) -> "Polynomial":
+        if name not in SYMBOLS:
             raise ValueError(f"unknown symbol {name!r}")
-        exps = tuple(1 if s == name else 0 for s in symbols)
-        return cls({exps: ONE}, symbols)
+        return cls({tuple(1 if s == name else 0 for s in SYMBOLS): ONE})
 
     # -- ring structure ---------------------------------------------------
 
-    def _check_compatible(self, other: "Polynomial"):
-        if self.symbols != other.symbols:
-            raise ValueError("polynomials over different symbol lists")
-
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            self._check_compatible(other)
             return other
-        return Polynomial.constant(other, self.symbols)
+        return Polynomial.constant(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -202,12 +181,12 @@ class Polynomial:
                 terms[exps] = total
             else:
                 terms.pop(exps, None)
-        return Polynomial(terms, self.symbols)
+        return Polynomial(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()}, self.symbols)
+        return Polynomial({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -226,14 +205,14 @@ class Polynomial:
                     terms[exps] = total
                 else:
                     terms.pop(exps, None)
-        return Polynomial(terms, self.symbols)
+        return Polynomial(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(1, self.symbols)
+        result = Polynomial.constant(1)
         base = self
         while n:
             if n & 1:
@@ -244,13 +223,13 @@ class Polynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(other, self.symbols)
+            other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.symbols == other.symbols and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.symbols, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -258,7 +237,7 @@ class Polynomial:
     # -- structure --------------------------------------------------------
 
     def contains(self, name: str) -> bool:
-        idx = self.symbols.index(name)
+        idx = SYMBOLS.index(name)
         return any(exps[idx] > 0 for exps in self.terms)
 
     def leading(self) -> tuple[tuple[int, ...], GaussianRational]:
@@ -280,15 +259,13 @@ class Polynomial:
             tuple(e - c for e, c in zip(exps, content)): coeff
             for exps, coeff in self.terms.items()
         }
-        return Polynomial(terms, self.symbols)
+        return Polynomial(terms)
 
     def scale(self, factor: GaussianRational) -> "Polynomial":
-        return Polynomial(
-            {e: c * factor for e, c in self.terms.items()}, self.symbols
-        )
+        return Polynomial({e: c * factor for e, c in self.terms.items()})
 
     def derivative(self, name: str) -> "Polynomial":
-        idx = self.symbols.index(name)
+        idx = SYMBOLS.index(name)
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for exps, coeff in self.terms.items():
             e = exps[idx]
@@ -302,24 +279,22 @@ class Polynomial:
                 terms[key] = total
             else:
                 terms.pop(key, None)
-        return Polynomial(terms, self.symbols)
+        return Polynomial(terms)
 
     def substitute(
         self, assignment: Mapping[str, "RationalFunction"]
     ) -> "RationalFunction":
         """Replace symbols by rational functions; unmentioned symbols stay."""
-        result = RationalFunction.zero(self.symbols)
+        result = RationalFunction.zero()
         for exps, coeff in self.terms.items():
-            term = RationalFunction.constant(coeff, self.symbols)
-            for sym, e in zip(self.symbols, exps):
+            term = RationalFunction.constant(coeff)
+            for sym, e in zip(SYMBOLS, exps):
                 if e == 0:
                     continue
                 if sym in assignment:
                     value = assignment[sym]
                 else:
-                    value = RationalFunction.from_polynomial(
-                        Polynomial.variable(sym, self.symbols)
-                    )
+                    value = RationalFunction.variable(sym)
                 term = term * value.power(e)
             result = result + term
         return result
@@ -330,7 +305,7 @@ class Polynomial:
         total = ZERO
         for exps, coeff in self.terms.items():
             value = coeff
-            for sym, e in zip(self.symbols, exps):
+            for sym, e in zip(SYMBOLS, exps):
                 if e == 0:
                     continue
                 if sym not in assignment:
@@ -347,7 +322,7 @@ class Polynomial:
             coeff = self.terms[exps]
             factors = [
                 sym if e == 1 else f"{sym}^{e}"
-                for sym, e in zip(self.symbols, exps)
+                for sym, e in zip(SYMBOLS, exps)
                 if e > 0
             ]
             if not factors:
@@ -373,12 +348,10 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
-        if num.symbols != den.symbols:
-            raise ValueError("numerator and denominator over different symbols")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Polynomial.constant(1, num.symbols)
+            den = Polynomial.constant(1)
         else:
             nc = num.monomial_content()
             dc = den.monomial_content()
@@ -400,43 +373,29 @@ class RationalFunction:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, symbols: tuple[str, ...] = DEFAULT_SYMBOLS) -> "RationalFunction":
-        return cls(Polynomial.zero(symbols), Polynomial.constant(1, symbols))
+    def zero(cls) -> "RationalFunction":
+        return cls(Polynomial.zero(), Polynomial.constant(1))
 
     @classmethod
-    def constant(
-        cls,
-        value: GaussianRational | RationalLike,
-        symbols: tuple[str, ...] = DEFAULT_SYMBOLS,
-    ) -> "RationalFunction":
-        return cls(
-            Polynomial.constant(value, symbols), Polynomial.constant(1, symbols)
-        )
+    def constant(cls, value: GaussianRational | RationalLike) -> "RationalFunction":
+        return cls(Polynomial.constant(value), Polynomial.constant(1))
 
     @classmethod
-    def variable(
-        cls, name: str, symbols: tuple[str, ...] = DEFAULT_SYMBOLS
-    ) -> "RationalFunction":
-        return cls.from_polynomial(Polynomial.variable(name, symbols))
+    def variable(cls, name: str) -> "RationalFunction":
+        return cls.from_polynomial(Polynomial.variable(name))
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "RationalFunction":
-        return cls(poly, Polynomial.constant(1, poly.symbols))
+        return cls(poly, Polynomial.constant(1))
 
     # -- field structure --------------------------------------------------
 
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return self.num.symbols
-
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
-            if self.symbols != other.symbols:
-                raise ValueError("rational functions over different symbol lists")
             return other
         if isinstance(other, Polynomial):
             return RationalFunction.from_polynomial(other)
-        return RationalFunction.constant(other, self.symbols)
+        return RationalFunction.constant(other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -520,7 +479,7 @@ class RationalFunction:
         return self.num.evaluate(assignment) / den
 
     def __str__(self) -> str:
-        if self.den == Polynomial.constant(1, self.symbols):
+        if self.den == Polynomial.constant(1):
             return str(self.num)
         return f"({self.num})/({self.den})"
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .coefficients import (
-    DEFAULT_SYMBOLS,
     GaussianRational,
     Polynomial,
     RationalFunction,
@@ -44,12 +43,12 @@ def _sort_indices(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     return tuple(order), sign
 
 
-def _coerce_coeff(value, symbols=DEFAULT_SYMBOLS) -> RationalFunction:
+def _coerce_coeff(value) -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, Polynomial):
         return RationalFunction.from_polynomial(value)
-    return RationalFunction.constant(value, symbols)
+    return RationalFunction.constant(value)
 
 
 class Region(enum.Enum):
@@ -299,10 +298,6 @@ def mat_equal(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_sub(a, b) -> list[list[RationalFunction]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_inverse(m: list[list[RationalFunction]]) -> list[list[RationalFunction]]:
     """Gauss-Jordan inverse over the rational-function field: reduce
     [m | I] and read off the right half."""
@@ -351,19 +346,12 @@ def _matrix_to_images(matrix: Sequence[Sequence[RationalFunction]]) -> dict[str,
 class CoframeMap:
     """Substitution of coordinate 1-forms, e.g. a pullback along a torus map.
 
-    Optionally carries a symbol substitution on coefficients (used for the
-    region substitutions of f), applied before generators are replaced.
+    Coefficients pass through unchanged; region substitutions of f are
+    applied to forms and operators with ``in_region``.
     """
 
-    def __init__(
-        self,
-        images: Mapping[str, Form],
-        symbol_substitution: Mapping[str, RationalFunction] | None = None,
-    ):
+    def __init__(self, images: Mapping[str, Form]):
         self.images = {g: images.get(g, Form.generator(g)) for g in GENERATORS}
-        self.symbol_substitution = (
-            dict(symbol_substitution) if symbol_substitution else None
-        )
         self.matrix = _images_to_matrix(self.images)
         if mat_determinant(self.matrix).is_zero():
             raise ValueError("coframe map is not invertible")
@@ -373,8 +361,6 @@ class CoframeMap:
         return cls({})
 
     def pullback(self, form: Form) -> Form:
-        if self.symbol_substitution:
-            form = form.substitute(self.symbol_substitution)
         result = Form.zero()
         for key, coeff in form.terms.items():
             term = Form.function(coeff)
@@ -384,8 +370,6 @@ class CoframeMap:
         return result
 
     def inverse(self) -> "CoframeMap":
-        if self.symbol_substitution:
-            raise ValueError("cannot invert a map with a symbol substitution")
         return CoframeMap(_matrix_to_images(mat_inverse(self.matrix)))
 
 
@@ -394,17 +378,7 @@ def compose(first: CoframeMap, second: CoframeMap) -> CoframeMap:
 
     Matches composition of underlying point maps: ``first`` after ``second``.
     """
-    images = {g: second.pullback(first.images[g]) for g in GENERATORS}
-    subst: dict[str, RationalFunction] = {}
-    if first.symbol_substitution:
-        for sym, value in first.symbol_substitution.items():
-            if second.symbol_substitution:
-                value = value.substitute(second.symbol_substitution)
-            subst[sym] = value
-    if second.symbol_substitution:
-        for sym, value in second.symbol_substitution.items():
-            subst.setdefault(sym, value)
-    return CoframeMap(images, subst or None)
+    return CoframeMap({g: second.pullback(first.images[g]) for g in GENERATORS})
 
 
 class LinearOperator:
@@ -451,8 +425,6 @@ class LinearOperator:
 
     def conjugate_by(self, map_: CoframeMap) -> "LinearOperator":
         """T o J o T^-1 where T is the coframe map's linear action."""
-        if map_.symbol_substitution:
-            raise ValueError("cannot invert a map with a symbol substitution")
         t_inv = mat_inverse(map_.matrix)
         return LinearOperator.from_matrix(
             mat_mul(map_.matrix, mat_mul(self.matrix, t_inv))

@@ -393,28 +393,17 @@ def snf(matrix: Sequence[Sequence[int]]) -> SNFResult:
         swap_cols(t, pivot[1])
         if a[t][t] < 0:
             negate_row(t)
-        # Clear the pivot row and column; restart if a remainder appears.
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        if a[t][t] < 0:
-                            negate_row(t)
-                        dirty = True
+        # One reduction pass of the pivot column and row by the pivot. Any
+        # remainder is smaller than the pivot, so searching again for the
+        # smallest entry terminates.
+        for i in range(t + 1, m):
+            if a[i][t] != 0:
+                row_op(i, t, -(a[i][t] // a[t][t]))
+        for j in range(t + 1, n):
+            if a[t][j] != 0:
+                col_op(j, t, -(a[t][j] // a[t][t]))
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
+            continue
         # Enforce divisibility against the rest of the block.
         offender = None
         for i in range(t + 1, m):

@@ -23,6 +23,12 @@ OBSTRUCTED = "obstructed"
 UNKNOWN = "unknown"
 
 
+def _require_int(value, name: str) -> None:
+    """Reject anything but a true integer: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SL2Z:
     """An integer 2x2 matrix [[p, q], [r, s]] of determinant one."""
@@ -33,6 +39,8 @@ class SL2Z:
     s: int
 
     def __post_init__(self):
+        for name in ("p", "q", "r", "s"):
+            _require_int(getattr(self, name), f"twist entry {name}")
         if self.p * self.s - self.q * self.r != 1:
             raise ValueError(
                 f"determinant of [[{self.p},{self.q}],[{self.r},{self.s}]] is not 1"
@@ -102,8 +110,10 @@ class SurgeryDescriptor:
         entries = data["surgeries"]
         if len(entries) != 4:
             raise ValueError("descriptor must list exactly four surgeries")
+        for e in entries:
+            _require_int(e["k"], "k")
         return cls(
-            tuple(int(e["k"]) for e in entries),
+            tuple(e["k"] for e in entries),
             tuple(SL2Z.from_json(e["tau"]) for e in entries),
         )
 
@@ -265,17 +275,23 @@ def sweep_descriptors(
 
 
 def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
-    """Group descriptors by their invariants; deterministic order
-    (lexicographic on the representative descriptor)."""
+    """Group descriptors by their invariants in one pass, holding one entry
+    per class. Each class is represented by its lexicographically smallest
+    descriptor and classes come out in that order, so the result does not
+    depend on the input order."""
     groups: dict = {}
-    for descriptor in sorted(descriptors, key=SurgeryDescriptor.sort_key):
+    for descriptor in descriptors:
         rep = report(descriptor)
         key = rep.invariant_key()
-        if key in groups:
-            groups[key][1] += 1
+        sort_key = descriptor.sort_key()
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [sort_key, rep, 1]
         else:
-            groups[key] = [rep, 1]
-    classes = [
+            group[2] += 1
+            if sort_key < group[0]:
+                group[0], group[1] = sort_key, rep
+    return [
         SweepClass(
             h1=rep.h1,
             b1=rep.b1,
@@ -284,7 +300,5 @@ def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
             representative=rep.descriptor,
             count=count,
         )
-        for rep, count in groups.values()
+        for _, rep, count in sorted(groups.values(), key=lambda g: g[0])
     ]
-    classes.sort(key=lambda c: c.representative.sort_key())
-    return classes

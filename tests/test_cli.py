@@ -101,6 +101,46 @@ class TestInputErrors:
         assert code == 2
 
 
+class TestStrictDescriptorInput:
+    """Descriptor and tau files take JSON integers only: no bool, float or
+    string is coerced, and nothing escapes as a traceback."""
+
+    def assert_rejected(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "k, tau",
+        [
+            ("2.7", "[[1, 0], [0, 1]]"),
+            ("true", "[[1, 0], [0, 1]]"),
+            ('"3"', "[[1, 0], [0, 1]]"),
+            ("1e400", "[[1, 0], [0, 1]]"),
+            ("0", "[[1.0, 0], [0, 1]]"),
+        ],
+        ids=["float-k", "bool-k", "string-k", "overflowing-k", "float-tau"],
+    )
+    def test_non_integer_descriptor_entry(self, capsys, tmp_path, k, tau):
+        identity = '{"k": 0, "tau": [[1, 0], [0, 1]]}'
+        path = tmp_path / "descriptor.json"
+        path.write_text(
+            f'{{"surgeries": [{{"k": {k}, "tau": {tau}}}, '
+            f"{identity}, {identity}, {identity}]}}"
+        )
+        self.assert_rejected(capsys, "report", "--json", "--descriptor", str(path))
+
+    def test_tau_file_not_a_list(self, capsys, tmp_path):
+        path = tmp_path / "taus.json"
+        path.write_text("5")
+        self.assert_rejected(
+            capsys, "sweep", "--k-min", "0", "--k-max", "0",
+            "--tau-file", str(path),
+        )
+
+
 class TestReportAndRealize:
     def test_report_prints_relations(self, capsys):
         code, out, _ = run(capsys, "report", "--k", "1,2,3,4")
@@ -151,6 +191,14 @@ class TestVerifyForms:
         code, out, _ = run(capsys, "verify-forms", "--k", "2", "--json")
         assert code == 0
         assert out == (GOLDEN / "verify_forms_k2.json").read_text()
+
+    def test_golden_symbolic_twist_json(self, capsys):
+        code, out, _ = run(
+            capsys, "verify-forms", "--k", "symbolic", "--tau=2,3,1,2",
+            "--negative-controls", "--json",
+        )
+        assert code == 0
+        assert out == (GOLDEN / "verify_forms_symbolic_tau.json").read_text()
 
 
 class TestLemma6:

@@ -280,14 +280,6 @@ class TestCoframeMap:
         composed = compose(phi, shear)
         assert composed.pullback(omega) == shear.pullback(phi.pullback(omega))
 
-    def test_compose_symbol_substitution(self):
-        f = RationalFunction.variable("f")
-        fix_f = CoframeMap({}, Region.OUTER.substitution())
-        phi = gluing_map(1)
-        composed = compose(fix_f, phi)
-        form = Form.from_terms((f, "dw"))
-        assert composed.pullback(form) == phi.pullback(fix_f.pullback(form))
-
 
 class TestLinearOperator:
     def test_flat_structure_squares_to_minus_identity(self):

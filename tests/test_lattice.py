@@ -213,6 +213,25 @@ class TestSmithNormalForm:
         assert abs(int_determinant(u)) == 1
         assert abs(int_determinant(v)) == 1
 
+    def test_transform_entries_stay_small(self):
+        # Relation rows of k = (-145, 7, 8, 6) with every twist (1,-1,0,1).
+        # A clearing pass that swaps rows and columns partway through grows
+        # the transforms here to millions of bits.
+        matrix = [
+            [0, 145, -145, 0, 0, 0],
+            [0, -7, 0, 7, 0, 0],
+            [0, -8, 0, 0, 8, 0],
+            [0, -6, 0, 0, 0, 6],
+        ]
+        result = snf(matrix)
+        u = [list(r) for r in result.U]
+        v = [list(r) for r in result.V]
+        assert int_mat_mul(int_mat_mul(u, matrix), v) == [
+            list(r) for r in result.D
+        ]
+        assert all(abs(x).bit_length() < 64 for row in u + v for x in row)
+        assert result.invariant_factors == minor_gcd_invariant_factors(matrix)
+
     def test_property_suite_against_minor_gcd_oracle(self):
         rng = random.Random(20260823)
         for trial in range(120):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -81,6 +82,11 @@ class TestSL2Z:
             SL2Z(1, 0, 0, 2)
         with pytest.raises(ValueError):
             SL2Z(-1, 0, 0, 1)
+
+    def test_integer_entries_enforced(self):
+        for entries in ((1.0, 0, 0, 1), (True, 0, 0, True), ("1", 0, 0, 1)):
+            with pytest.raises(TypeError):
+                SL2Z(*entries)
 
     def test_inverse_and_product(self):
         tau = SL2Z(2, 3, 1, 2)
@@ -310,3 +316,25 @@ class TestSweep:
         first = [c.to_json() for c in sweep(descriptors)]
         second = [c.to_json() for c in sweep(reversed(descriptors))]
         assert first == second
+
+    def test_holds_one_descriptor_per_class(self):
+        # Every descriptor with k = 0 lands in the class H1 = Z^6, whatever
+        # its twists. Feed them largest first, so the representative is
+        # replaced at every step, and count how many are still alive.
+        alive = []
+        peak = 0
+
+        def descriptors():
+            nonlocal peak
+            for q in range(499, -1, -1):
+                peak = max(peak, sum(ref() is not None for ref in alive))
+                descriptor = SurgeryDescriptor(
+                    (0, 0, 0, 0), (SL2Z(1, q, 0, 1),) + (SL2Z.identity(),) * 3
+                )
+                alive.append(weakref.ref(descriptor))
+                yield descriptor
+
+        (only,) = sweep(descriptors())
+        assert only.count == 500
+        assert only.representative.taus[0] == SL2Z(1, 0, 0, 1)
+        assert peak <= 3
