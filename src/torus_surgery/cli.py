@@ -19,32 +19,34 @@ class InputError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
-def _parse_k_list(text: str) -> tuple[int, int, int, int]:
+def _parse_ints(text: str, flag: str) -> tuple[int, int, int, int]:
+    """Four comma-separated integers given to ``flag``."""
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"--k expects four comma-separated integers: {exc}")
+        raise InputError(f"{flag} expects four comma-separated integers: {exc}")
     if len(values) != 4:
-        raise InputError(f"--k expects exactly four values, got {len(values)}")
+        raise InputError(f"{flag} expects exactly four values, got {len(values)}")
     return values
 
 
+def _parse_sl2z(text: str, flag: str) -> surgery.SL2Z:
+    """A twist matrix given to ``flag`` as p,q,r,s."""
+    try:
+        return surgery.SL2Z(*_parse_ints(text, flag))
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}")
+
+
 def _parse_tau_slot(text: str) -> tuple[int, surgery.SL2Z]:
+    slot_text, _, entries_text = text.partition(":")
     try:
-        slot_text, entries_text = text.split(":")
         slot = int(slot_text)
-        entries = [int(part) for part in entries_text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"--tau expects 'i:p,q,r,s': {exc}")
+    except ValueError:
+        slot = None
     if slot not in (1, 2, 3, 4):
-        raise InputError(f"--tau slot must be 1..4, got {slot}")
-    if len(entries) != 4:
-        raise InputError("--tau expects four matrix entries p,q,r,s")
-    try:
-        tau = surgery.SL2Z(*entries)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    return slot, tau
+        raise InputError(f"--tau expects 'i:p,q,r,s' with i in 1..4, got {text!r}")
+    return slot, _parse_sl2z(entries_text, "--tau")
 
 
 def _descriptor_from_args(args) -> surgery.SurgeryDescriptor:
@@ -56,7 +58,7 @@ def _descriptor_from_args(args) -> surgery.SurgeryDescriptor:
             raise InputError(f"bad descriptor file {args.descriptor}: {exc}")
     if args.k is None:
         raise InputError("provide --k or a descriptor file")
-    ks = _parse_k_list(args.k)
+    ks = _parse_ints(args.k, "--k")
     taus = [surgery.SL2Z.identity()] * 4
     for text in args.tau or []:
         slot, tau = _parse_tau_slot(text)
@@ -89,11 +91,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    try:
-        targets = tuple(int(part) for part in args.d.split(","))
-    except ValueError as exc:
-        raise InputError(f"--d expects four comma-separated integers: {exc}")
-    if len(targets) != 4 or any(d < 0 for d in targets):
+    targets = _parse_ints(args.d, "--d")
+    if any(d < 0 for d in targets):
         raise InputError("--d expects four non-negative integers")
     descriptor = surgery.realize(*targets)
     rep = surgery.report(descriptor)
@@ -116,15 +115,7 @@ def _parse_k_param(text: str):
 
 def cmd_verify_forms(args) -> int:
     k = _parse_k_param(args.k)
-    tau = surgery.SL2Z.identity()
-    if args.tau is not None:
-        try:
-            entries = [int(part) for part in args.tau.split(",")]
-            if len(entries) != 4:
-                raise ValueError("expected four entries")
-            tau = surgery.SL2Z(*entries)
-        except ValueError as exc:
-            raise InputError(f"bad --tau: {exc}")
+    tau = _parse_sl2z(args.tau, "--tau")
     reports = [verification.check_lemma2(k), verification.check_theorem5(k, tau)]
     ok = all(r.passed for r in reports)
     controls = {}
@@ -157,28 +148,14 @@ def cmd_verify_forms(args) -> int:
 
 def cmd_lemma6(args) -> int:
     certificate = lattice.complement_betti()
-    matrix = lattice.lemma_matrix()
-    expected = {
-        "rank": 10,
-        "invariant_factors": [1] * 10,
-        "cokernel_rank": 6,
-        "b1": 6,
-        "b2": 17,
-    }
-    actual = {
-        "rank": certificate.matrix_rank,
-        "invariant_factors": list(certificate.invariant_factors),
-        "cokernel_rank": certificate.cokernel_rank,
-        "b1": certificate.b1,
-        "b2": certificate.b2,
-    }
-    ok = actual == expected
+    actual = certificate.summary()
+    ok = actual == lattice.LEMMA6_EXPECTED
     if args.json:
         document = {
             "passed": ok,
-            "matrix": matrix,
+            "matrix": certificate.matrix,
             "certificate": actual,
-            "expected": expected,
+            "expected": lattice.LEMMA6_EXPECTED,
             "dual_tori": [str(t) for t in certificate.dual_tori],
             "assumption": (
                 "the ten 3-tori with free first coordinate lift to the "
@@ -188,7 +165,7 @@ def cmd_lemma6(args) -> int:
         print(json.dumps(document))
     else:
         print("intersection matrix (10 x 16):")
-        for row in matrix:
+        for row in certificate.matrix:
             print("  " + " ".join(f"{v:2d}" for v in row))
         print(f"rank: {actual['rank']}")
         print(f"invariant factors: {actual['invariant_factors']}")
@@ -224,7 +201,7 @@ def cmd_sweep(args) -> int:
         classes = []
     else:
         slots = None if args.slot is None else [args.slot - 1]
-        base = _parse_k_list(args.base_k)
+        base = _parse_ints(args.base_k, "--base-k")
         descriptors = surgery.sweep_descriptors(
             range(args.k_min, args.k_max + 1), taus, slots=slots, base_ks=base
         )
@@ -281,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-forms", help="symbolic form identities")
     p_verify.add_argument("--k", default="symbolic", help="integer or 'symbolic'")
-    p_verify.add_argument("--tau", help="twist matrix p,q,r,s")
+    p_verify.add_argument("--tau", default="1,0,0,1", help="twist matrix p,q,r,s")
     p_verify.add_argument("--negative-controls", action="store_true")
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify_forms)

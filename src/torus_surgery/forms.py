@@ -171,12 +171,6 @@ class Form:
     def degrees(self) -> set[int]:
         return {len(k) for k in self.terms}
 
-    def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) > 1:
-            raise ValueError("form is not homogeneous")
-        return next(iter(degs), 0)
-
     def coefficient(self, *names: str) -> RationalFunction:
         """Coefficient on the wedge of the named generators (signed)."""
         indices = [GENERATORS.index(n) for n in names]
@@ -347,14 +341,14 @@ class CoframeMap:
     """Substitution of coordinate 1-forms, e.g. a pullback along a torus map.
 
     Coefficients pass through unchanged; region substitutions of f are
-    applied to forms and operators with ``in_region``.
+    applied to forms and operators with ``in_region``. The construction
+    builds determinant-one maps only, so ``mat_inverse`` is the one
+    invertibility check, made where a map is inverted.
     """
 
     def __init__(self, images: Mapping[str, Form]):
         self.images = {g: images.get(g, Form.generator(g)) for g in GENERATORS}
         self.matrix = _images_to_matrix(self.images)
-        if mat_determinant(self.matrix).is_zero():
-            raise ValueError("coframe map is not invertible")
 
     @classmethod
     def identity(cls) -> "CoframeMap":

@@ -8,6 +8,8 @@ matrices, and finitely generated abelian groups in invariant-factor form.
 
 from __future__ import annotations
 
+import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,34 +47,15 @@ MINUS_IMAG = Root8(6)
 PRIMITIVE = Root8(1)
 
 
-class Empty:
-    """Marker outcome: the two subtori share no point."""
+class Marker(enum.Enum):
+    """Intersection outcomes other than a subtorus: the two subtori share
+    no point, or their tangent spaces fail to span."""
 
-    def __repr__(self):
-        return "Empty"
-
-    def __eq__(self, other):
-        return isinstance(other, Empty)
-
-    def __hash__(self):
-        return hash("Empty")
+    EMPTY = "empty"
+    NON_TRANSVERSE = "non-transverse"
 
 
-class NonTransverse:
-    """Marker outcome: the tangent spaces fail to span."""
-
-    def __repr__(self):
-        return "NonTransverse"
-
-    def __eq__(self, other):
-        return isinstance(other, NonTransverse)
-
-    def __hash__(self):
-        return hash("NonTransverse")
-
-
-EMPTY = Empty()
-NON_TRANSVERSE = NonTransverse()
+EMPTY, NON_TRANSVERSE = Marker
 
 
 @dataclass(frozen=True)
@@ -113,7 +96,7 @@ class CoordinateSubtorus:
 
 def intersect(a: CoordinateSubtorus, b: CoordinateSubtorus):
     """Symmetric intersection with the three-way contract:
-    Empty on a fixed-value conflict, NonTransverse when the free
+    EMPTY on a fixed-value conflict, NON_TRANSVERSE when the free
     directions fail to span, else the intersection subtorus."""
     fa, fb = a.fixed_map, b.fixed_map
     for coord in set(fa) & set(fb):
@@ -140,17 +123,14 @@ class EmbeddedTorus:
         if set(label_map.values()) != set(self.subtorus.free):
             raise ValueError("labels must biject onto the free coordinates")
 
-    @property
-    def label_map(self) -> dict[str, int]:
-        return dict(self.labels)
-
     def coordinate_of(self, label: str) -> int:
-        return self.label_map[label]
+        return dict(self.labels)[label]
 
 
+@functools.cache
 def embedding_catalog() -> tuple[EmbeddedTorus, ...]:
     """The four disjoint embedded 4-tori, one per fourth root of unity in
-    the first coordinate."""
+    the first coordinate; a constant, built once."""
     return (
         EmbeddedTorus(
             "e1",
@@ -464,17 +444,32 @@ def quotient_group(ambient_rank: int, relations: Sequence[Sequence[int]]) -> Abe
     )
 
 
+#: What lemma 6 asserts: a unimodular rank-10 intersection matrix and
+#: complement Betti numbers (b1, b2) = (6, 17).
+LEMMA6_EXPECTED = dict(
+    rank=10, invariant_factors=[1] * 10, cokernel_rank=6, b1=6, b2=17
+)
+
+
 @dataclass(frozen=True)
 class ComplementCertificate:
     """Derived homology bookkeeping for the complement of the four
     embedded 4-tori."""
 
+    matrix: tuple[tuple[int, ...], ...]
     matrix_rank: int
     invariant_factors: tuple[int, ...]
     cokernel_rank: int
     dual_tori: tuple[CoordinateSubtorus, ...]
     b1: int
     b2: int
+
+    def summary(self) -> dict:
+        """The derived values, keyed as in ``LEMMA6_EXPECTED``."""
+        return dict(
+            rank=self.matrix_rank, invariant_factors=list(self.invariant_factors),
+            cokernel_rank=self.cokernel_rank, b1=self.b1, b2=self.b2,
+        )
 
 
 def complement_betti() -> ComplementCertificate:
@@ -485,7 +480,7 @@ def complement_betti() -> ComplementCertificate:
     intersection matrix leaves a rank-6 cokernel, and the four-term exact
     sequence gives b2 = 6 + 15 - 4.
     """
-    matrix = lemma_matrix()
+    matrix = tuple(map(tuple, lemma_matrix()))
     rank = rational_rank(matrix)
     factors = tuple(snf(matrix).invariant_factors)
     duals = tuple(find_dual_torus(i) for i in (1, 2, 3, 4))
@@ -494,4 +489,4 @@ def complement_betti() -> ComplementCertificate:
     b1 = ambient_rank  # meridians bound, so inclusion is an isomorphism
     b2_ambient = len(list(itertools.combinations(COORDINATES, 2)))
     b2 = cokernel_rank + b2_ambient - len(embedding_catalog())
-    return ComplementCertificate(rank, factors, cokernel_rank, duals, b1, b2)
+    return ComplementCertificate(matrix, rank, factors, cokernel_rank, duals, b1, b2)

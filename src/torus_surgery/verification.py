@@ -128,6 +128,25 @@ def canonical_section(k: KParam) -> Form:
     return canonical_section_flat() + correction.wedge(tail)
 
 
+def twist_coframe(tau) -> CoframeMap:
+    """The coordinate twist by a determinant-one tau = [[p, q], [r, s]].
+
+    The torus directions transform by tau; the disk directions carry the
+    contragredient action, the unique extension fixing ds1, ds2 under
+    which the symplectic form is invariant (this is where det = 1 bites).
+    The disk images, rows [[s, q], [r, p]], invert to [[p, -q], [-r, s]],
+    those of tau^-1, so ``twist_coframe(tau.inverse())`` is the inverse map.
+    """
+    return CoframeMap(
+        {
+            "dz": Form.from_terms((tau.p, "dz"), (tau.r, "dw")),
+            "dw": Form.from_terms((tau.q, "dz"), (tau.s, "dw")),
+            "dx": Form.from_terms((tau.s, "dx"), (tau.q, "dy")),
+            "dy": Form.from_terms((tau.r, "dx"), (tau.p, "dy")),
+        }
+    )
+
+
 def eigenform_product(j: LinearOperator, twist: CoframeMap | None = None) -> Form:
     """(a - iJa)^(b - iJb)^(c - iJc) for a, b, c = dx, dw, ds1 pushed
     through the optional coordinate twist."""
@@ -313,18 +332,8 @@ def check_theorem5(
         tau = SL2Z.identity()
     report = IdentityReport("canonical-class-vanishing")
 
-    # The torus directions transform by tau; the disk directions carry the
-    # contragredient action, the unique extension fixing ds1, ds2 under
-    # which the symplectic form is invariant (this is where det = 1 bites).
-    twist = CoframeMap(
-        {
-            "dz": Form.from_terms((tau.p, "dz"), (tau.r, "dw")),
-            "dw": Form.from_terms((tau.q, "dz"), (tau.s, "dw")),
-            "dx": Form.from_terms((tau.s, "dx"), (tau.q, "dy")),
-            "dy": Form.from_terms((tau.r, "dx"), (tau.p, "dy")),
-        }
-    )
-    twist_inv = twist.inverse()
+    twist = twist_coframe(tau)
+    twist_inv = twist_coframe(tau.inverse())
 
     j_k = almost_complex_structure(k, drop_quadratic_term).conjugate_by(twist)
     j_0 = almost_complex_structure(0).conjugate_by(twist)

@@ -1,9 +1,14 @@
 """Command-line interface: output formats, exit codes, golden files."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_surgery import cli, verification
 from torus_surgery.verification import IdentityReport, ClaimResult
@@ -274,6 +279,14 @@ class TestSweep:
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err
 
+    def test_short_base_k_names_its_flag(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--k-min", "0", "--k-max", "1", "--base-k", "1,2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --base-k")
+
     def test_bad_tau_file(self, capsys, tmp_path):
         path = tmp_path / "taus.json"
         path.write_text(json.dumps([[[2, 0], [0, 2]]]))
@@ -295,3 +308,96 @@ class TestDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+# -- fuzzing the parsers: any text gives exit 0 or 2, never a traceback ------
+
+# Comma-joined fields that are often integers, so that well-formed and
+# nearly well-formed values come up as well as arbitrary text.
+FIELDS = st.lists(
+    st.one_of(st.integers(-50, 50).map(str), st.text(max_size=4)), max_size=6
+).map(",".join)
+FLAG_TEXT = st.one_of(
+    st.text(max_size=20),
+    FIELDS,
+    st.sampled_from(("1,2,3,4", "0,-1,1,0", "2,3,1,2", "1:2,3,1,2")),
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+SURGERY = st.fixed_dictionaries(
+    {
+        "k": st.integers(-9, 9) | JSON_VALUE,
+        "tau": st.just([[1, 0], [0, 1]]) | JSON_VALUE,
+    }
+)
+DESCRIPTOR_TEXT = st.one_of(
+    st.text(max_size=30),
+    JSON_VALUE.map(json.dumps),
+    st.fixed_dictionaries(
+        {"surgeries": st.lists(SURGERY, min_size=3, max_size=5)}
+    ).map(json.dumps),
+)
+
+
+def run_quiet(*argv):
+    """Exit code and stderr of one CLI run; argparse's SystemExit counts
+    as its exit code, any other exception escapes to the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith(("error: ", "usage: "))
+    assert "Traceback" not in err
+
+
+class TestParserFuzz:
+    """Only commands whose valid inputs are cheap are run: no twisted
+    verify-forms and no sweep grid larger than one k value."""
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            ("h1", "--k={}"),
+            ("report", "--k=1,2,3,4", "--tau={}"),
+            ("realize", "--d={}"),
+            ("sweep", "--k-min=0", "--k-max=0", "--base-k={}"),
+        ],
+        ids=["k", "tau-slot", "d", "base-k"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(text=FLAG_TEXT)
+    def test_flag_text(self, template, text):
+        argv = [arg.replace("{}", text) for arg in template]
+        assert_exit_contract(*run_quiet(*argv))
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=FLAG_TEXT)
+    def test_verify_tau_text(self, text):
+        # Parsed without running verify-forms: a valid twist would start a
+        # symbolic check.
+        try:
+            tau = cli._parse_sl2z(text, "--tau")
+        except cli.InputError as exc:
+            assert str(exc).startswith("--tau")
+        else:
+            assert tau.p * tau.s - tau.q * tau.r == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=DESCRIPTOR_TEXT)
+    def test_descriptor_file(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "descriptor.json"
+            path.write_text(text, encoding="utf-8")
+            assert_exit_contract(*run_quiet("report", "--descriptor", str(path)))

@@ -261,8 +261,9 @@ class TestCoframeMap:
         assert phi.pullback(a + b) == phi.pullback(a) + phi.pullback(b)
 
     def test_non_invertible_rejected(self):
-        with pytest.raises(ValueError):
-            CoframeMap({"dw": Form.generator("dz")})
+        singular = CoframeMap({"dw": Form.generator("dz")})
+        with pytest.raises(ValueError, match="singular"):
+            singular.inverse()
 
     def test_inverse(self):
         phi = gluing_map(2)

@@ -3,7 +3,13 @@
 import json
 
 from torus_surgery.coefficients import Polynomial, RationalFunction, I
-from torus_surgery.forms import Form, Region
+from torus_surgery.forms import (
+    Form,
+    Region,
+    mat_determinant,
+    mat_equal,
+    mat_inverse,
+)
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
     canonical_section,
@@ -17,6 +23,7 @@ from torus_surgery.verification import (
     negative_control_reports,
     positivity_samples,
     standard_symplectic_form,
+    twist_coframe,
     unit_scale,
     almost_complex_structure,
 )
@@ -162,6 +169,30 @@ class TestCanonicalClassVanishing:
             c for c in rep.claims if c.label == "(b) metric positive at 56 samples"
         )
         assert positivity.residual == DROPPED_QUADRATIC_POSITIVITY_RESIDUAL
+
+
+# The shear, the rotation and an asymmetric twist.
+TWISTS = (SL2Z(1, 1, 0, 1), SL2Z(0, -1, 1, 0), SL2Z(2, 3, 1, 2))
+
+
+class TestUnimodularCoframeMaps:
+    """The construction builds only determinant-one coframe maps, so no map
+    is checked for invertibility when it is made."""
+
+    def test_gluing_maps_have_determinant_one(self):
+        for k in ("symbolic", 3):
+            assert mat_determinant(gluing_map(k).matrix) == 1
+
+    def test_twists_have_determinant_one(self):
+        for tau in TWISTS:
+            assert mat_determinant(twist_coframe(tau).matrix) == 1
+
+    def test_twist_of_inverse_is_inverse_twist(self):
+        for tau in TWISTS:
+            assert mat_equal(
+                twist_coframe(tau.inverse()).matrix,
+                mat_inverse(twist_coframe(tau).matrix),
+            )
 
 
 class TestNegativeControls:
