@@ -482,9 +482,9 @@ def compatibility_check(
     om = omega.in_region(region)
     big_omega = omega_matrix(om)
     j_vec = mat_transpose(op.matrix)
-    lhs = mat_mul(mat_transpose(j_vec), mat_mul(big_omega, j_vec))
-    invariant = mat_equal(lhs, big_omega)
     metric = mat_mul(big_omega, j_vec)
+    lhs = mat_mul(mat_transpose(j_vec), metric)
+    invariant = mat_equal(lhs, big_omega)
     symmetric = mat_equal(metric, mat_transpose(metric))
     failures = []
     count = 0

@@ -2,15 +2,16 @@
 
 Covers the combinatorics needed for the complement of the four embedded
 4-tori: transverse intersections, homology classes of intersection
-circles, dual-torus search, Smith normal form with transformation
-matrices, and finitely generated abelian groups in invariant-factor form.
+circles, dual tori constructed from transversality, Smith normal form with
+transformation matrices, and finitely generated abelian groups in
+invariant-factor form.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -79,12 +80,6 @@ class CoordinateSubtorus:
     @property
     def dimension(self) -> int:
         return len(self.free)
-
-    def sort_key(self):
-        return (
-            tuple(sorted(self.free)),
-            tuple((c, v.exponent) for c, v in self.fixed),
-        )
 
     def __str__(self) -> str:
         parts = []
@@ -205,17 +200,15 @@ def circle_class(circle: CoordinateSubtorus, torus: EmbeddedTorus) -> list[int]:
 
 def lemma_matrix(
     three_tori: Sequence[CoordinateSubtorus] | None = None,
-    embeddings: Sequence[EmbeddedTorus] | None = None,
 ) -> list[list[int]]:
     """10 x 16 matrix of intersection-circle classes: row j concatenates
     the class of W_j against each embedded 4-torus (zero block when the
     intersection is empty)."""
     three_tori = three_tori if three_tori is not None else three_torus_catalog()
-    embeddings = embeddings if embeddings is not None else embedding_catalog()
     rows = []
     for w in three_tori:
         row: list[int] = []
-        for torus in embeddings:
+        for torus in embedding_catalog():
             outcome = intersect(w, torus.subtorus)
             if outcome == EMPTY:
                 row.extend([0, 0, 0, 0])
@@ -246,24 +239,29 @@ def is_dual_torus(
 
 
 def find_dual_torus(i: int) -> CoordinateSubtorus:
-    """Exhaustive search for a 2-dimensional subtorus bounding the i-th
-    meridian (i in 1..4): fixed values range over the fourth roots of
-    unity and one primitive eighth root; returns the lexicographically
-    least solution."""
+    """The 2-dimensional subtorus bounding the i-th meridian (i in 1..4).
+
+    Transversality forces it. Meeting the i-th embedded torus in one
+    transverse point makes the dual's free coordinates exactly that torus's
+    two fixed coordinates. Every embedded torus fixes coordinate 1, which
+    the dual leaves free, so the dual misses torus j only by a different
+    value on the one other coordinate torus j pins: there it takes
+    PRIMITIVE, which no embedded torus uses, and ONE on the remaining
+    coordinate. Each coordinate takes its least admissible exponent, so this
+    is the lexicographically least solution.
+    """
     if i not in (1, 2, 3, 4):
         raise ValueError("embedding index must be 1..4")
     embeddings = embedding_catalog()
-    allowed = (ONE, PRIMITIVE, IMAG, MINUS_ONE, MINUS_IMAG)
-    solutions = []
-    for free in itertools.combinations(COORDINATES, 2):
-        rest = sorted(set(COORDINATES) - set(free))
-        for values in itertools.product(allowed, repeat=len(rest)):
-            candidate = CoordinateSubtorus.make(free, dict(zip(rest, values)))
-            if is_dual_torus(candidate, i - 1, embeddings):
-                solutions.append(candidate)
-    if not solutions:
-        raise ValueError(f"no dual torus found for embedding {i}")
-    return min(solutions, key=CoordinateSubtorus.sort_key)
+    target = embeddings[i - 1].subtorus
+    pinned = {c for torus in embeddings for c, _ in torus.subtorus.fixed}
+    dual = CoordinateSubtorus.make(
+        set(COORDINATES) - target.free,
+        {c: PRIMITIVE if c in pinned else ONE for c in target.free},
+    )
+    if not is_dual_torus(dual, i - 1, embeddings):
+        raise ValueError(f"{dual} is not dual to embedding {i}")
+    return dual
 
 
 # -- exact integer linear algebra ------------------------------------------
@@ -474,7 +472,7 @@ class ComplementCertificate:
 
 def complement_betti() -> ComplementCertificate:
     """(b1, b2) of the complement, derived from the intersection matrix and
-    the dual-torus search rather than hard-coded.
+    the checked dual tori rather than hard-coded.
 
     b1 = 6 because every meridian bounds a punctured dual torus; the rank-10
     intersection matrix leaves a rank-6 cokernel, and the four-term exact
@@ -487,6 +485,6 @@ def complement_betti() -> ComplementCertificate:
     ambient_rank = len(COORDINATES)
     cokernel_rank = len(matrix[0]) - rank
     b1 = ambient_rank  # meridians bound, so inclusion is an isomorphism
-    b2_ambient = len(list(itertools.combinations(COORDINATES, 2)))
+    b2_ambient = math.comb(len(COORDINATES), 2)
     b2 = cokernel_rank + b2_ambient - len(embedding_catalog())
     return ComplementCertificate(matrix, rank, factors, cokernel_rank, duals, b1, b2)

@@ -11,7 +11,6 @@ from typing import Iterable, Sequence
 
 from .lattice import (
     AbelianGroup,
-    CIRCLE_LABELS,
     embedding_catalog,
     quotient_group,
 )

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
-from .coefficients import GaussianRational, Polynomial, RationalFunction, I
+from .coefficients import RationalFunction, I
 from .forms import (
     CoframeMap,
-    CompatibilityReport,
     Form,
     LinearOperator,
     Region,

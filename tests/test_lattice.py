@@ -174,12 +174,61 @@ class TestLemmaMatrix:
         assert snf(flipped).invariant_factors == [1] * 10
 
 
+# -- independent oracle: every 2-torus over a five-value alphabet, accepted
+# -- by comparing free sets and fixed values directly ------------------------
+
+DUAL_ALPHABET = (ONE, PRIMITIVE, IMAG, MINUS_ONE, MINUS_IMAG)
+
+
+def dual_torus_candidates():
+    for free in itertools.combinations(COORDINATES, 2):
+        rest = [c for c in COORDINATES if c not in free]
+        for values in itertools.product(DUAL_ALPHABET, repeat=len(rest)):
+            yield set(free), dict(zip(rest, values))
+
+
+def accepted_as_dual(free, fixed, index, embeddings):
+    """One transverse point with the index-th torus: complementary free
+    sets. Missing any other torus: a coordinate both fix, with different
+    values."""
+    for j, torus in enumerate(embeddings):
+        torus_free = torus.subtorus.free
+        if j == index:
+            if free & torus_free or free | torus_free != set(COORDINATES):
+                return False
+        elif all(fixed.get(c, v) == v for c, v in torus.subtorus.fixed):
+            return False
+    return True
+
+
+def candidate_key(candidate):
+    """Free coordinates ascending, then each fixed value's exponent in
+    coordinate order."""
+    free, fixed = candidate
+    return sorted(free), [(c, fixed[c].exponent) for c in sorted(fixed)]
+
+
+def least_dual_by_enumeration(index):
+    embeddings = embedding_catalog()
+    accepted = [
+        (free, fixed) for free, fixed in dual_torus_candidates()
+        if accepted_as_dual(free, fixed, index, embeddings)
+    ]
+    assert accepted, f"no candidate accepted for embedding {index + 1}"
+    return CoordinateSubtorus.make(*min(accepted, key=candidate_key))
+
+
 class TestDualTori:
+    @pytest.mark.parametrize("i", [1, 2, 3, 4])
+    def test_least_solution_of_exhaustive_enumeration(self, i):
+        assert find_dual_torus(i) == least_dual_by_enumeration(i - 1)
+
     def test_found_for_each_embedding(self):
         embeddings = embedding_catalog()
         for i in (1, 2, 3, 4):
             dual = find_dual_torus(i)
             assert dual.dimension == 2
+            assert dual.free == set(embeddings[i - 1].subtorus.fixed_map)
             assert is_dual_torus(dual, i - 1, embeddings)
 
     def test_published_solution_for_first_embedding(self):
