@@ -15,6 +15,10 @@ from pathlib import Path
 from . import lattice, surgery, verification
 
 
+#: Largest sweep grid run; a bigger one exits 2 instead of running for hours.
+MAX_SWEEP_DESCRIPTORS = 10**7
+
+
 class InputError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
@@ -200,10 +204,16 @@ def cmd_sweep(args) -> int:
     if args.k_min > args.k_max:
         classes = []
     else:
-        slots = None if args.slot is None else [args.slot - 1]
+        slots = [0, 1, 2, 3] if args.slot is None else [args.slot - 1]
         base = _parse_ints(args.base_k, "--base-k")
+        k_values = range(args.k_min, args.k_max + 1)
+        count = len(k_values) ** len(slots) * len(taus) ** 4
+        if count > MAX_SWEEP_DESCRIPTORS:
+            raise InputError(
+                f"sweep grid has {count} descriptors, limit {MAX_SWEEP_DESCRIPTORS}"
+            )
         descriptors = surgery.sweep_descriptors(
-            range(args.k_min, args.k_max + 1), taus, slots=slots, base_ks=base
+            k_values, taus, slots=slots, base_ks=base
         )
         classes = surgery.sweep(descriptors)
     lines = [json.dumps(c.to_json()) for c in classes]

@@ -10,14 +10,14 @@ opaque symbol until a region substitution pins it to 0 or 1/(x^2+y^2).
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .coefficients import (
-    GaussianRational,
+    SYMBOLS,
     Polynomial,
     RationalFunction,
     _gauss_jordan,
+    _pivot_steps,
 )
 
 GENERATORS = ("dx", "dy", "dz", "dw", "ds1", "ds2")
@@ -278,6 +278,10 @@ def mat_mul(a, b) -> list[list[RationalFunction]]:
         for j in range(m):
             total = RationalFunction.zero()
             for l in range(mid):
+                # Adding a zero leaves num and den as they were, so skipping
+                # zero products changes no printed expression.
+                if not a[i][l] or not b[l][j]:
+                    continue
                 total = total + a[i][l] * b[l][j]
             row.append(total)
         out.append(row)
@@ -405,9 +409,6 @@ class LinearOperator:
     def square(self) -> list[list[RationalFunction]]:
         return mat_mul(self.matrix, self.matrix)
 
-    def is_almost_complex(self) -> bool:
-        return mat_equal(self.square(), mat_neg(mat_identity(len(GENERATORS))))
-
     def substitute(self, assignment: Mapping[str, RationalFunction]) -> "LinearOperator":
         return LinearOperator(
             {g: img.substitute(assignment) for g, img in self.images.items()}
@@ -417,11 +418,11 @@ class LinearOperator:
         subst = region.substitution()
         return self if subst is None else self.substitute(subst)
 
-    def conjugate_by(self, map_: CoframeMap) -> "LinearOperator":
-        """T o J o T^-1 where T is the coframe map's linear action."""
-        t_inv = mat_inverse(map_.matrix)
+    def conjugate_by(self, map_: CoframeMap, inverse: CoframeMap) -> "LinearOperator":
+        """T o J o T^-1 where T is the coframe map's linear action; the
+        caller supplies the inverse map, which it usually already holds."""
         return LinearOperator.from_matrix(
-            mat_mul(map_.matrix, mat_mul(self.matrix, t_inv))
+            mat_mul(map_.matrix, mat_mul(self.matrix, inverse.matrix))
         )
 
     def __eq__(self, other) -> bool:
@@ -434,7 +435,7 @@ class LinearOperator:
 
 def operator_pullback(map_: CoframeMap, operator: LinearOperator) -> LinearOperator:
     """phi^*(J) = (phi^*) o J o (phi^*)^-1 on 1-forms."""
-    return operator.conjugate_by(map_)
+    return operator.conjugate_by(map_, map_.inverse())
 
 
 def omega_matrix(omega: Form) -> list[list[RationalFunction]]:
@@ -449,16 +450,33 @@ def omega_matrix(omega: Form) -> list[list[RationalFunction]]:
     return matrix
 
 
+def certified_positive(poly: Polynomial) -> bool:
+    """A sufficient test that poly > 0 at every real point: a positive
+    constant term, and only positive real coefficients on monomials whose
+    exponents are all even. Each such monomial is >= 0, so poly is at least
+    its constant term. False does not mean poly takes a value <= 0."""
+    return (0,) * len(SYMBOLS) in poly.terms and all(
+        coeff.is_real() and coeff.re > 0 and not any(e % 2 for e in exps)
+        for exps, coeff in poly.terms.items()
+    )
+
+
 class CompatibilityReport:
     """Outcome of checking a candidate almost complex structure against a
-    2-form: invariance, symmetry of the induced metric, and pointwise
-    positivity at exact rational samples."""
+    2-form: invariance, symmetry of the induced metric, and positivity
+    proved for every real value of the symbols by certified leading
+    principal minors.
 
-    def __init__(self, invariant, symmetric, positivity_failures, sample_count):
+    ``sample_count`` is 0, since nothing is sampled; it stays because the
+    span tracer in ``perfbench/tracer.py`` reads it from every report.
+    """
+
+    sample_count = 0
+
+    def __init__(self, invariant, symmetric, positivity_failures):
         self.invariant = invariant
         self.symmetric = symmetric
         self.positivity_failures = positivity_failures
-        self.sample_count = sample_count
 
     @property
     def passed(self) -> bool:
@@ -469,14 +487,19 @@ def compatibility_check(
     operator: LinearOperator,
     omega: Form,
     region: Region,
-    samples: Iterable[Mapping[str, Fraction | int]],
+    basis: list[list[RationalFunction]] | None = None,
 ) -> CompatibilityReport:
-    """Check omega(J., J.) = omega and that g = omega(., J.) is a symmetric,
-    pointwise positive definite pairing.
+    """Check omega(J., J.) = omega and that g = omega(., J.) is a symmetric
+    pairing, positive definite for every real value of the symbols.
 
-    The operator on vector fields dual to the coframe action A is A^T;
-    positivity is certified by strictly positive leading principal minors,
-    computed in exact rational arithmetic at each sample.
+    The operator on vector fields dual to the coframe action A is A^T.
+    Positivity is read from h = U g U^T for the optional change of basis U.
+    Any U is sound: if h is positive definite, U is invertible and g is
+    positive definite too. A good U (the inverse of a twist) turns g into a
+    matrix whose minors are certifiable. Every entry of h must have real
+    coefficients, and each leading principal minor of h must have a
+    numerator and denominator that pass ``certified_positive``. The rule is
+    sufficient, not necessary: whatever it cannot certify is a failure.
     """
     op = operator.in_region(region)
     om = omega.in_region(region)
@@ -486,25 +509,30 @@ def compatibility_check(
     lhs = mat_mul(mat_transpose(j_vec), metric)
     invariant = mat_equal(lhs, big_omega)
     symmetric = mat_equal(metric, mat_transpose(metric))
-    failures = []
-    count = 0
-    for sample in samples:
-        count += 1
-        values = [[entry.evaluate(sample) for entry in row] for row in metric]
-        _, pivots = _gauss_jordan(values)
-        # While every pivot so far sits on the diagonal, the leading minor of
-        # size m is the product of the first m pivots; the first pivot off
-        # the diagonal (or missing) means that minor is 0.
-        minor = GaussianRational(1)
-        for m in range(1, len(values) + 1):
-            if m <= len(pivots) and pivots[m - 1][:2] == (m - 1, m - 1):
-                minor = minor * pivots[m - 1][2]
-            else:
-                minor = GaussianRational(0)
-            if not minor.is_real():
-                failures.append((dict(sample), m, "non-real minor"))
-                break
-            if minor.re <= 0:
-                failures.append((dict(sample), m, str(minor.re)))
-                break
-    return CompatibilityReport(invariant, symmetric, failures, count)
+    h = metric
+    if basis is not None:
+        h = mat_mul(basis, mat_mul(metric, mat_transpose(basis)))
+    return CompatibilityReport(invariant, symmetric, _positivity_failures(h))
+
+
+def _positivity_failures(h: list[list[RationalFunction]]) -> list[str]:
+    for i, row in enumerate(h):
+        for j, entry in enumerate(row):
+            for coeff in (*entry.num.terms.values(), *entry.den.terms.values()):
+                if not coeff.is_real():
+                    return [f"entry [{i}][{j}] is not real: {entry}"]
+    # While every pivot so far sits on the diagonal, the leading minor of
+    # size m is the product of the first m pivots; the first pivot off the
+    # diagonal (or missing) means that minor is identically 0. The
+    # elimination stops at the first minor that fails, so a matrix whose
+    # minors swell is not reduced further than needed.
+    minor = RationalFunction.constant(1)
+    steps = _pivot_steps([list(row) for row in h])
+    for m in range(1, len(h) + 1):
+        found, col, value = next(steps, (None, None, None))
+        if (found, col) != (m - 1, m - 1):
+            return [f"minor {m} is identically 0"]
+        minor = minor * value
+        if not (certified_positive(minor.num) and certified_positive(minor.den)):
+            return [f"minor {m} not certified: {minor}"]
+    return []

@@ -296,13 +296,6 @@ def _int_identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [
-        [sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def int_determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant by fraction-free expansion (matrices are tiny)."""
     n = len(matrix)

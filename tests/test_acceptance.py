@@ -23,7 +23,6 @@ from torus_surgery.lattice import (
     embedding_catalog,
     find_dual_torus,
     int_determinant,
-    int_mat_mul,
     is_dual_torus,
     lemma_matrix,
     rational_rank,
@@ -115,6 +114,14 @@ def closed_form_relations(descriptor):
         row[w_coord - 1] += k * tau.s
         rows.append(row)
     return rows
+
+
+def int_mat_mul(a, b):
+    """Plain integer matrix product."""
+    return [
+        [sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
 def cli(*args):

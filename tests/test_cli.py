@@ -287,6 +287,34 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: --base-k")
 
+    def test_grid_over_the_limit_exits_before_running(self, capsys, monkeypatch):
+        def no_sweep(descriptors):
+            raise AssertionError("the sweep should not start")
+
+        monkeypatch.setattr(cli.surgery, "sweep", no_sweep)
+        code, out, err = run(capsys, "sweep", "--k-min", "0", "--k-max", "100")
+        assert code == 2
+        assert out == ""
+        assert err == "error: sweep grid has 104060401 descriptors, limit 10000000\n"
+
+    def test_grid_limit_counts_twists(self, capsys, tmp_path):
+        # 57 twists give 57^4 = 10,556,001 descriptors even for one k value.
+        path = tmp_path / "taus.json"
+        path.write_text(json.dumps([[[1, q], [0, 1]] for q in range(57)]))
+        code, _, err = run(
+            capsys, "sweep", "--k-min", "0", "--k-max", "0",
+            "--tau-file", str(path),
+        )
+        assert code == 2
+        assert err.startswith("error: sweep grid has 10556001 descriptors")
+
+    def test_single_slot_grid_under_the_limit_runs(self, capsys):
+        code, _, err = run(
+            capsys, "sweep", "--k-min", "0", "--k-max", "100", "--slot", "2"
+        )
+        assert code == 0
+        assert err.startswith("classes: ")
+
     def test_bad_tau_file(self, capsys, tmp_path):
         path = tmp_path / "taus.json"
         path.write_text(json.dumps([[[2, 0], [0, 2]]]))

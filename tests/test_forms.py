@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_surgery.coefficients import (
+    SYMBOLS,
     GaussianRational,
     Polynomial,
     RationalFunction,
@@ -19,6 +20,7 @@ from torus_surgery.forms import (
     Form,
     LinearOperator,
     Region,
+    certified_positive,
     compatibility_check,
     compose,
     mat_equal,
@@ -30,11 +32,19 @@ from torus_surgery.forms import (
     operator_pullback,
 )
 from torus_surgery.lattice import int_determinant, rational_rank
+from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
     almost_complex_structure,
     gluing_map,
+    interpolated_form,
     standard_symplectic_form,
+    twist_coframe,
 )
+
+
+def is_almost_complex(operator):
+    """J^2 = -1 on 1-forms."""
+    return mat_equal(operator.square(), mat_neg(mat_identity(len(GENERATORS))))
 
 
 # -- independent oracle: expand products of constant 1-forms by listing
@@ -285,18 +295,18 @@ class TestCoframeMap:
 class TestLinearOperator:
     def test_flat_structure_squares_to_minus_identity(self):
         j0 = almost_complex_structure(0)
-        assert j0.is_almost_complex()
+        assert is_almost_complex(j0)
         assert mat_equal(j0.square(), mat_neg(mat_identity(6)))
 
     def test_twisted_structure_squares_to_minus_identity(self):
         jk = almost_complex_structure("symbolic")
-        assert jk.is_almost_complex()
+        assert is_almost_complex(jk)
 
     def test_swap_is_not_almost_complex(self):
         swap = LinearOperator(
             {"dx": Form.generator("dy"), "dy": Form.generator("dx")}
         )
-        assert not swap.is_almost_complex()
+        assert not is_almost_complex(swap)
 
     def test_call_matches_matrix_action(self):
         jk = almost_complex_structure(2)
@@ -312,7 +322,8 @@ class TestLinearOperator:
 
     def test_conjugation_by_identity(self):
         jk = almost_complex_structure(1)
-        assert jk.conjugate_by(CoframeMap.identity()) == jk
+        identity = CoframeMap.identity()
+        assert jk.conjugate_by(identity, identity) == jk
 
     def test_pullback_functoriality(self):
         j0 = almost_complex_structure(0)
@@ -383,27 +394,18 @@ class TestMatrixElimination:
 
 
 class TestCompatibility:
-    SAMPLES = [
-        {"x": Fraction(3, 4), "y": 0, "f": 0},
-        {"x": 0, "y": Fraction(1, 2), "f": 1},
-    ]
-
     def test_flat_structure_compatible(self):
         rep = compatibility_check(
             almost_complex_structure(0),
             standard_symplectic_form(),
             Region.INNER,
-            self.SAMPLES,
         )
         assert rep.passed
-        assert rep.sample_count == 2
 
     def test_orientation_reversal_fails_positivity(self):
         j0 = almost_complex_structure(0)
         minus = LinearOperator.from_matrix(mat_neg(j0.matrix))
-        rep = compatibility_check(
-            minus, standard_symplectic_form(), Region.INNER, self.SAMPLES
-        )
+        rep = compatibility_check(minus, standard_symplectic_form(), Region.INNER)
         # -J preserves omega but induces the negative-definite metric.
         assert rep.invariant and rep.symmetric
         assert rep.positivity_failures
@@ -419,7 +421,113 @@ class TestCompatibility:
                 "ds2": -Form.generator("ds1"),
             }
         )
-        rep = compatibility_check(
-            swap, standard_symplectic_form(), Region.INNER, self.SAMPLES
-        )
+        rep = compatibility_check(swap, standard_symplectic_form(), Region.INNER)
         assert not rep.passed
+        assert rep.positivity_failures == ["minor 1 is identically 0"]
+
+    def _twisted(self, tau):
+        twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
+        j = almost_complex_structure("symbolic").conjugate_by(twist, twist_inv)
+        return j, twist.pullback(interpolated_form("symbolic")), twist_inv
+
+    def test_twisted_metric_needs_the_untwisting_basis(self):
+        j, omega, twist_inv = self._twisted(SL2Z(2, 3, 1, 2))
+        bare = compatibility_check(j, omega, Region.MIDDLE)
+        assert bare.invariant and bare.symmetric
+        assert bare.positivity_failures == [
+            "minor 1 not certified: 5 + 4*y^2*k^2*f^2 + -4*x*y*k^2*f^2 + x^2*k^2*f^2"
+        ]
+        assert compatibility_check(
+            j, omega, Region.MIDDLE, basis=twist_inv.matrix
+        ).passed
+
+    def test_singular_basis_fails(self):
+        j, omega, _ = self._twisted(SL2Z.identity())
+        basis = mat_identity(6)
+        basis[5] = basis[4]
+        rep = compatibility_check(j, omega, Region.MIDDLE, basis=basis)
+        assert rep.positivity_failures == ["minor 6 is identically 0"]
+
+    def test_uncertified_denominator_fails(self):
+        # h[0][0] = g[0][0]/(1 + x)^2 is positive wherever it is defined,
+        # but its denominator has an odd monomial, so it is not certified.
+        j, omega, _ = self._twisted(SL2Z.identity())
+        basis = mat_identity(6)
+        basis[0][0] = 1 / (1 + RationalFunction.variable("x"))
+        rep = compatibility_check(j, omega, Region.MIDDLE, basis=basis)
+        assert rep.positivity_failures == [
+            "minor 1 not certified: (1 + y^2*k^2*f^2)/(1 + 2*x + x^2)"
+        ]
+
+    def test_non_real_entry_fails(self):
+        j, omega, _ = self._twisted(SL2Z.identity())
+        basis = mat_identity(6)
+        basis[1][1] = RationalFunction.constant(I)
+        rep = compatibility_check(j, omega, Region.MIDDLE, basis=basis)
+        assert rep.positivity_failures
+        assert rep.positivity_failures[0].startswith("entry [0][1] is not real")
+
+
+# -- the positivity certificate: positive constant term, positive real
+# -- coefficients on even monomials -----------------------------------------
+
+EVEN_EXPONENTS = st.tuples(*[st.sampled_from((0, 2, 4))] * len(SYMBOLS))
+POSITIVE = st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7)
+POINTS = st.fixed_dictionaries(
+    {s: st.fractions(min_value=-3, max_value=3, max_denominator=5) for s in SYMBOLS}
+)
+CONSTANT = (0,) * len(SYMBOLS)
+
+
+@st.composite
+def certified_polynomials(draw):
+    terms = draw(st.dictionaries(EVEN_EXPONENTS, POSITIVE, max_size=5))
+    terms[CONSTANT] = draw(POSITIVE)
+    return terms
+
+
+def _with(terms, exps, coeff):
+    changed = dict(terms)
+    changed[exps] = coeff
+    return Polynomial(changed)
+
+
+class TestPositivityCertificate:
+    @given(certified_polynomials(), POINTS)
+    @settings(max_examples=80, deadline=None)
+    def test_accepted_and_at_least_the_constant_term(self, terms, point):
+        poly = Polynomial(terms)
+        assert certified_positive(poly)
+        value = poly.evaluate(point)
+        assert value.is_real() and value.re >= terms[CONSTANT] > 0
+
+    @given(certified_polynomials(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_negative_coefficient_rejected(self, terms, data):
+        exps = data.draw(st.sampled_from(sorted(terms)))
+        assert not certified_positive(_with(terms, exps, -terms[exps]))
+
+    @given(certified_polynomials(), EVEN_EXPONENTS, st.sampled_from(range(len(SYMBOLS))))
+    @settings(max_examples=40, deadline=None)
+    def test_odd_exponent_rejected(self, terms, exps, slot):
+        odd = tuple(e + 1 if i == slot else e for i, e in enumerate(exps))
+        assert not certified_positive(_with(terms, odd, 1))
+
+    @given(certified_polynomials())
+    @settings(max_examples=40, deadline=None)
+    def test_missing_constant_term_rejected(self, terms):
+        del terms[CONSTANT]
+        assert not certified_positive(Polynomial(terms))
+
+    @given(certified_polynomials(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_imaginary_coefficient_rejected(self, terms, data):
+        exps = data.draw(st.sampled_from(sorted(terms)))
+        coeff = GaussianRational(terms[exps], data.draw(st.sampled_from((1, -1))))
+        assert not certified_positive(_with(terms, exps, coeff))
+
+    def test_positive_but_not_certifiable_rejected(self):
+        # x^2 - 2x + 2 = (x - 1)^2 + 1 > 0, but the rule is only sufficient.
+        x = Polynomial.variable("x")
+        assert not certified_positive(x * x - 2 * x + 2)
+        assert certified_positive(x * x + 2)

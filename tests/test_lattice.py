@@ -23,7 +23,6 @@ from torus_surgery.lattice import (
     embedding_catalog,
     find_dual_torus,
     int_determinant,
-    int_mat_mul,
     intersect,
     is_dual_torus,
     lemma_matrix,
@@ -32,6 +31,14 @@ from torus_surgery.lattice import (
     snf,
     three_torus_catalog,
 )
+
+
+def int_mat_mul(a, b):
+    """Plain integer matrix product."""
+    return [
+        [sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
 
 
 # -- independent oracle: invariant factors from gcds of k x k minors --------

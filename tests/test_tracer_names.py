@@ -7,6 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from torus_surgery.forms import Region, compatibility_check
+from torus_surgery.verification import (
+    almost_complex_structure,
+    standard_symplectic_form,
+)
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -33,3 +39,12 @@ def test_traced_name_resolves(module_name, class_name, attr):
     else:
         # The tracer looks class attributes up in the class's own dict.
         assert attr in vars(getattr(module, class_name))
+
+
+def test_compatibility_report_has_integer_sample_count():
+    # The tracer's hook reads report.sample_count from every
+    # compatibility_check result; without it a traced run would crash.
+    report = compatibility_check(
+        almost_complex_structure(0), standard_symplectic_form(), Region.INNER
+    )
+    assert isinstance(report.sample_count, int)

@@ -1,14 +1,19 @@
 """End-to-end symbolic identity checks and their negative controls."""
 
+import functools
 import json
+from fractions import Fraction
 
-from torus_surgery.coefficients import Polynomial, RationalFunction, I
+from torus_surgery.coefficients import GaussianRational, Polynomial, RationalFunction
 from torus_surgery.forms import (
     Form,
     Region,
     mat_determinant,
     mat_equal,
     mat_inverse,
+    mat_mul,
+    mat_transpose,
+    omega_matrix,
 )
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
@@ -21,7 +26,6 @@ from torus_surgery.verification import (
     gluing_map,
     interpolated_form,
     negative_control_reports,
-    positivity_samples,
     standard_symplectic_form,
     twist_coframe,
     unit_scale,
@@ -29,9 +33,10 @@ from torus_surgery.verification import (
 )
 
 
-# The positivity residual of the dropped-quadratic-term control, computed
-# with a separate determinant for each leading minor rather than from the
-# pivots of one elimination: 12 failures at minor 2, 2 at minor 4.
+# The residual the sampled positivity claim gave for the dropped-quadratic-
+# term control, computed with a separate determinant for each leading minor
+# rather than from the pivots of one elimination: 12 failures at minor 2,
+# 2 at minor 4. The sampling oracle below must still reproduce it.
 DROPPED_QUADRATIC_POSITIVITY_RESIDUAL = (
     "minor 2 at {'x': Fraction(-9, 20), 'y': Fraction(-3, 5),"
     " 'f': Fraction(8, 9), 'k': Fraction(-3, 1)}: -79/625; "
@@ -62,6 +67,101 @@ DROPPED_QUADRATIC_POSITIVITY_RESIDUAL = (
     "minor 2 at {'x': Fraction(-3, 5), 'y': Fraction(9, 20),"
     " 'f': Fraction(14, 9), 'k': Fraction(3, 1)}: -72911/2500"
 )
+
+# The certificate's residual for the same control: the second leading minor
+# has negative coefficients (it is negative at 12 of the 56 samples above).
+DROPPED_QUADRATIC_CERTIFICATE_RESIDUAL = (
+    "minor 2 not certified: (1 + 2*y^2*k^2*f^2 + y^4*k^4*f^4"
+    " + -1*x^2*y^2*k^4*f^4 + -1*x^2*y^4*k^6*f^6)/(1 + y^2*k^2*f^2)"
+)
+
+
+# -- test-side sampling oracle for metric positivity ------------------------
+# The library proves positivity from certified symbolic minors. This oracle
+# is the check it replaced: evaluate the metric at exact rational points and
+# test each leading principal minor, here by cofactor expansion.
+
+
+def positivity_samples(k):
+    """Exact rational sample points on the circle x^2 + y^2 = (3/4)^2,
+    with f in [0, 1/(x^2+y^2)] and, for symbolic k, k in -3..3."""
+    radius = Fraction(3, 4)
+    points = []
+    for t in (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+              Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3)):
+        denom = 1 + t * t
+        points.append((radius * (1 - t * t) / denom, radius * 2 * t / denom))
+    f_max = 1 / (radius * radius)
+    samples = []
+    k_values = range(-3, 4) if isinstance(k, str) else [None]
+    for kv in k_values:
+        for idx, (x, y) in enumerate(points):
+            sample = {"x": x, "y": y, "f": f_max * Fraction(idx, len(points))}
+            if kv is not None:
+                sample["k"] = Fraction(kv)
+            samples.append(sample)
+    return samples
+
+
+def cofactor_determinant(matrix):
+    """Laplace expansion along the first remaining row, memoised on the
+    columns still available."""
+    n = len(matrix)
+
+    @functools.cache
+    def det(cols):
+        row = n - len(cols)
+        if not cols:
+            return GaussianRational(1)
+        total = GaussianRational(0)
+        for pos, col in enumerate(cols):
+            if matrix[row][col]:
+                sign = -1 if pos % 2 else 1
+                total = total + sign * matrix[row][col] * det(cols[:pos] + cols[pos + 1:])
+        return total
+
+    return det(tuple(range(n)))
+
+
+def twisted_metric(k, tau, drop_quadratic_term=False):
+    """g = omega(., J.) as check_theorem5 builds it, before any change of
+    basis: the twisted structure against the twisted form, f abstract."""
+    twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
+    j = almost_complex_structure(k, drop_quadratic_term).conjugate_by(twist, twist_inv)
+    omega = twist.pullback(interpolated_form(k))
+    return mat_mul(omega_matrix(omega), mat_transpose(j.matrix))
+
+
+def sampled_positivity_residual(metric, samples):
+    """The old claim's residual: per sample, the first leading minor that is
+    non-real or <= 0; empty when every minor is positive at every sample."""
+    failures = []
+    for sample in samples:
+        values = [[entry.evaluate(sample) for entry in row] for row in metric]
+        for m in range(1, len(values) + 1):
+            minor = cofactor_determinant([row[:m] for row in values[:m]])
+            if not minor.is_real():
+                failures.append(f"minor {m} at {sample}: non-real minor")
+                break
+            if minor.re <= 0:
+                failures.append(f"minor {m} at {sample}: {minor.re}")
+                break
+    return "; ".join(failures)
+
+
+class TestSamplingOracle:
+    def test_reproduces_dropped_quadratic_residual(self):
+        metric = twisted_metric("symbolic", SL2Z.identity(), drop_quadratic_term=True)
+        residual = sampled_positivity_residual(metric, positivity_samples("symbolic"))
+        assert residual == DROPPED_QUADRATIC_POSITIVITY_RESIDUAL
+        assert residual.count("minor ") == 14
+
+    def test_certified_metrics_positive_at_every_sample(self):
+        for tau in (SL2Z.identity(), SL2Z(2, 3, 1, 2)):
+            rep = check_theorem5("symbolic", tau)
+            assert rep.passed
+            metric = twisted_metric("symbolic", tau)
+            assert sampled_positivity_residual(metric, positivity_samples("symbolic")) == ""
 
 
 class TestGluingFormInterpolation:
@@ -166,9 +266,11 @@ class TestCanonicalClassVanishing:
         failing = [c.label for c in rep.claims if not c.passed]
         assert any("J^2" in label for label in failing)
         positivity = next(
-            c for c in rep.claims if c.label == "(b) metric positive at 56 samples"
+            c for c in rep.claims
+            if c.label == "(b) metric positive definite (certified leading minors)"
         )
-        assert positivity.residual == DROPPED_QUADRATIC_POSITIVITY_RESIDUAL
+        assert not positivity.passed
+        assert positivity.residual == DROPPED_QUADRATIC_CERTIFICATE_RESIDUAL
 
 
 # The shear, the rotation and an asymmetric twist.
