@@ -58,7 +58,7 @@ def _descriptor_from_args(args) -> surgery.SurgeryDescriptor:
         try:
             data = json.loads(Path(args.descriptor).read_text())
             return surgery.SurgeryDescriptor.from_json(data)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise InputError(f"bad descriptor file {args.descriptor}: {exc}")
     if args.k is None:
         raise InputError("provide --k or a descriptor file")
@@ -186,7 +186,7 @@ def _load_tau_file(path: str | None) -> list[surgery.SL2Z]:
         return [surgery.SL2Z.identity()]
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"bad tau file {path}: {exc}")
     if not isinstance(data, list):
         raise InputError(f"bad tau file {path}: expected a JSON list of matrices")
@@ -207,7 +207,8 @@ def cmd_sweep(args) -> int:
         slots = [0, 1, 2, 3] if args.slot is None else [args.slot - 1]
         base = _parse_ints(args.base_k, "--base-k")
         k_values = range(args.k_min, args.k_max + 1)
-        count = len(k_values) ** len(slots) * len(taus) ** 4
+        # len() of a range longer than sys.maxsize raises OverflowError.
+        count = (args.k_max - args.k_min + 1) ** len(slots) * len(taus) ** 4
         if count > MAX_SWEEP_DESCRIPTORS:
             raise InputError(
                 f"sweep grid has {count} descriptors, limit {MAX_SWEEP_DESCRIPTORS}"

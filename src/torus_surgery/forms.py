@@ -319,30 +319,9 @@ def mat_determinant(m: list[list[RationalFunction]]) -> RationalFunction:
     return det
 
 
-def _images_to_matrix(images: Mapping[str, Form]) -> list[list[RationalFunction]]:
-    """Column j = image of generator j expanded in the coframe basis."""
-    n = len(GENERATORS)
-    matrix = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
-    for j, gen in enumerate(GENERATORS):
-        image = images[gen]
-        if image.degrees() - {1}:
-            raise ValueError(f"image of {gen} is not a 1-form")
-        for key, coeff in image.terms.items():
-            matrix[key[0]][j] = coeff
-    return matrix
-
-
-def _matrix_to_images(matrix: Sequence[Sequence[RationalFunction]]) -> dict[str, Form]:
-    images = {}
-    for j, gen in enumerate(GENERATORS):
-        images[gen] = Form(
-            {(i,): matrix[i][j] for i in range(len(GENERATORS)) if not matrix[i][j].is_zero()}
-        )
-    return images
-
-
 class CoframeMap:
-    """Substitution of coordinate 1-forms, e.g. a pullback along a torus map.
+    """Linear substitution of coordinate 1-forms, e.g. a pullback along a
+    torus map, held as its matrix: column j is the image of generator j.
 
     Coefficients pass through unchanged; region substitutions of f are
     applied to forms and operators with ``in_region``. The construction
@@ -350,25 +329,49 @@ class CoframeMap:
     invertibility check, made where a map is inverted.
     """
 
-    def __init__(self, images: Mapping[str, Form]):
-        self.images = {g: images.get(g, Form.generator(g)) for g in GENERATORS}
-        self.matrix = _images_to_matrix(self.images)
+    def __init__(self, matrix: list[list[RationalFunction]]):
+        self.matrix = matrix
 
     @classmethod
-    def identity(cls) -> "CoframeMap":
-        return cls({})
+    def from_images(cls, images: Mapping[str, Form]):
+        """The map sending each named generator to its 1-form image; a
+        generator not named maps to itself."""
+        n = len(GENERATORS)
+        matrix = [[RationalFunction.zero() for _ in range(n)] for _ in range(n)]
+        for j, gen in enumerate(GENERATORS):
+            image = images.get(gen, Form.generator(gen))
+            if image.degrees() - {1}:
+                raise ValueError(f"image of {gen} is not a 1-form")
+            for key, coeff in image.terms.items():
+                matrix[key[0]][j] = coeff
+        return cls(matrix)
+
+    @classmethod
+    def identity(cls):
+        return cls(mat_identity(len(GENERATORS)))
 
     def pullback(self, form: Form) -> Form:
+        n = len(GENERATORS)
+        columns = [
+            Form({(i,): self.matrix[i][j] for i in range(n)}) for j in range(n)
+        ]
         result = Form.zero()
         for key, coeff in form.terms.items():
             term = Form.function(coeff)
             for idx in key:
-                term = term.wedge(self.images[GENERATORS[idx]])
+                term = term.wedge(columns[idx])
             result = result + term
         return result
 
     def inverse(self) -> "CoframeMap":
-        return CoframeMap(_matrix_to_images(mat_inverse(self.matrix)))
+        return CoframeMap(mat_inverse(self.matrix))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CoframeMap):
+            return NotImplemented
+        return mat_equal(self.matrix, other.matrix)
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 def compose(first: CoframeMap, second: CoframeMap) -> CoframeMap:
@@ -376,61 +379,41 @@ def compose(first: CoframeMap, second: CoframeMap) -> CoframeMap:
 
     Matches composition of underlying point maps: ``first`` after ``second``.
     """
-    return CoframeMap({g: second.pullback(first.images[g]) for g in GENERATORS})
+    return CoframeMap(mat_mul(second.matrix, first.matrix))
 
 
-class LinearOperator:
-    """Linear operator on coordinate 1-forms given by its coframe images.
+class LinearOperator(CoframeMap):
+    """Linear operator on coordinate 1-forms, held as its matrix like a
+    coframe map.
 
     Houses almost complex structures; nothing here assumes J^2 = -1, that
     is a property to be checked.
     """
 
-    def __init__(self, images: Mapping[str, Form]):
-        self.images = {g: images.get(g, Form.generator(g)) for g in GENERATORS}
-        self.matrix = _images_to_matrix(self.images)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "LinearOperator":
-        return cls(_matrix_to_images(matrix))
-
     def __call__(self, form: Form) -> Form:
         """Apply to a 1-form (or a degree-0 + degree-1 combination)."""
-        result = Form.zero()
-        for key, coeff in form.terms.items():
-            if len(key) == 0:
-                result = result + Form.function(coeff)
-            elif len(key) == 1:
-                result = result + self.images[GENERATORS[key[0]]] * coeff
-            else:
-                raise ValueError("operator acts on 1-forms only")
-        return result
+        if any(len(key) > 1 for key in form.terms):
+            raise ValueError("operator acts on 1-forms only")
+        return self.pullback(form)
 
     def square(self) -> list[list[RationalFunction]]:
         return mat_mul(self.matrix, self.matrix)
 
-    def substitute(self, assignment: Mapping[str, RationalFunction]) -> "LinearOperator":
-        return LinearOperator(
-            {g: img.substitute(assignment) for g, img in self.images.items()}
-        )
-
     def in_region(self, region: Region) -> "LinearOperator":
         subst = region.substitution()
-        return self if subst is None else self.substitute(subst)
+        if subst is None:
+            return self
+        # A zero entry stays zero, and substituting into it costs a division.
+        return LinearOperator(
+            [[v.substitute(subst) if v else v for v in row] for row in self.matrix]
+        )
 
     def conjugate_by(self, map_: CoframeMap, inverse: CoframeMap) -> "LinearOperator":
         """T o J o T^-1 where T is the coframe map's linear action; the
         caller supplies the inverse map, which it usually already holds."""
-        return LinearOperator.from_matrix(
+        return LinearOperator(
             mat_mul(map_.matrix, mat_mul(self.matrix, inverse.matrix))
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearOperator):
-            return NotImplemented
-        return mat_equal(self.matrix, other.matrix)
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def operator_pullback(map_: CoframeMap, operator: LinearOperator) -> LinearOperator:

@@ -23,7 +23,6 @@ from .forms import (
     mat_equal,
     mat_identity,
     mat_neg,
-    operator_pullback,
 )
 
 KParam = Union[int, str]
@@ -66,7 +65,7 @@ def gluing_map(k: KParam) -> CoframeMap:
     dw picks up (k/(x^2+y^2))*(x dy - y dx)."""
     kc = k_coefficient(k)
     radial = kc / RADIUS_SQ
-    return CoframeMap(
+    return CoframeMap.from_images(
         {
             "dw": Form.from_terms(
                 (1, "dw"), (radial * X, "dy"), (-radial * Y, "dx")
@@ -87,7 +86,7 @@ def almost_complex_structure(
     kxf = kc * X * F
     kyf = kc * Y * F
     quad = RationalFunction.zero() if drop_quadratic_term else kxf * kxf
-    return LinearOperator(
+    return LinearOperator.from_images(
         {
             "dx": Form.from_terms((-1, "dz")),
             "dz": Form.from_terms((1, "dx")),
@@ -135,7 +134,7 @@ def twist_coframe(tau) -> CoframeMap:
     The disk images, rows [[s, q], [r, p]], invert to [[p, -q], [-r, s]],
     those of tau^-1, so ``twist_coframe(tau.inverse())`` is the inverse map.
     """
-    return CoframeMap(
+    return CoframeMap.from_images(
         {
             "dz": Form.from_terms((tau.p, "dz"), (tau.r, "dw")),
             "dw": Form.from_terms((tau.q, "dz"), (tau.s, "dw")),
@@ -354,12 +353,15 @@ def check_theorem5(
         == RationalFunction.constant(1),
     )
 
-    # (d) pullback identities on the outer annulus, in twisted coordinates
+    # (d) pullback identities on the outer annulus, in twisted coordinates.
+    # The twisted gluing map's inverse is the same composite around the
+    # inverse of phi, so only the sparse untwisted map is eliminated.
     phi = gluing_map(k)
     phi_twisted = compose(compose(twist_inv, phi), twist)
+    phi_twisted_inv = compose(compose(twist_inv, phi.inverse()), twist)
     report.add_matrix_claim(
         "(d) gluing pullback of flat J gives twisted J (outer)",
-        operator_pullback(phi_twisted, j_0).matrix,
+        j_0.conjugate_by(phi_twisted, phi_twisted_inv).matrix,
         j_k.in_region(Region.OUTER).matrix,
     )
     report.add_form_claim(

@@ -145,6 +145,25 @@ class TestStrictDescriptorInput:
             "--tau-file", str(path),
         )
 
+    def test_deeply_nested_descriptor_file(self, capsys, tmp_path):
+        path = tmp_path / "descriptor.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(capsys, "h1", "--descriptor", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad descriptor file {path}: ")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_tau_file(self, capsys, tmp_path):
+        path = tmp_path / "taus.json"
+        path.write_text("[" * 100000)
+        code, out, err = run(
+            capsys, "sweep", "--k-min", "0", "--k-max", "0",
+            "--tau-file", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad tau file {path}: ")
+        assert "Traceback" not in err
+
 
 class TestReportAndRealize:
     def test_report_prints_relations(self, capsys):
@@ -308,6 +327,17 @@ class TestSweep:
         assert code == 2
         assert err.startswith("error: sweep grid has 10556001 descriptors")
 
+    def test_range_longer_than_maxsize_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "sweep",
+            "--k-min=-100000000000000000000", "--k-max=100000000000000000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sweep grid has ")
+        assert err.endswith(" descriptors, limit 10000000\n")
+        assert "Traceback" not in err
+
     def test_single_slot_grid_under_the_limit_runs(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--k-min", "0", "--k-max", "100", "--slot", "2"
@@ -323,6 +353,29 @@ class TestSweep:
             "--tau-file", str(path),
         )
         assert code == 2
+
+
+class TestSweepGolden:
+    """Sweep stdout and stderr over three twists, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("sweep_grid", ("--k-min", "-1", "--k-max", "1")),
+            (
+                "sweep_slot2",
+                ("--k-min", "0", "--k-max", "6", "--slot", "2",
+                 "--base-k", "1,2,3,4"),
+            ),
+        ],
+    )
+    def test_golden_output(self, capsys, name, argv):
+        code, out, err = run(
+            capsys, "sweep", *argv, "--tau-file", str(GOLDEN / "sweep_taus.json")
+        )
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.stdout").read_text()
+        assert err == (GOLDEN / f"{name}.stderr").read_text()
 
 
 class TestDeterminism:

@@ -35,6 +35,7 @@ from torus_surgery.lattice import int_determinant, rational_rank
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
     almost_complex_structure,
+    canonical_section,
     gluing_map,
     interpolated_form,
     standard_symplectic_form,
@@ -271,7 +272,7 @@ class TestCoframeMap:
         assert phi.pullback(a + b) == phi.pullback(a) + phi.pullback(b)
 
     def test_non_invertible_rejected(self):
-        singular = CoframeMap({"dw": Form.generator("dz")})
+        singular = CoframeMap.from_images({"dw": Form.generator("dz")})
         with pytest.raises(ValueError, match="singular"):
             singular.inverse()
 
@@ -284,12 +285,40 @@ class TestCoframeMap:
 
     def test_compose_contract(self):
         phi = gluing_map(2)
-        shear = CoframeMap(
+        shear = CoframeMap.from_images(
             {"dz": Form.from_terms((1, "dz"), (1, "dw"))}
         )
         omega = standard_symplectic_form()
         composed = compose(phi, shear)
         assert composed.pullback(omega) == shear.pullback(phi.pullback(omega))
+
+    def test_compose_contract_through_the_twisted_gluing_map(self):
+        tau = SL2Z(2, 3, 1, 2)
+        twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
+        phi = gluing_map("symbolic")
+        composed = compose(compose(twist_inv, phi), twist)
+        for form in (
+            Form.from_terms((1, "dw"), (RationalFunction.variable("x"), "dy")),
+            standard_symplectic_form(),
+            canonical_section("symbolic"),
+        ):
+            expected = twist.pullback(phi.pullback(twist_inv.pullback(form)))
+            assert composed.pullback(form) == expected
+
+    def test_from_images_fixes_absent_generators(self):
+        shear = CoframeMap.from_images(
+            {"dz": Form.from_terms((1, "dz"), (2, "dw"))}
+        )
+        for gen in GENERATORS:
+            if gen != "dz":
+                assert shear.pullback(Form.generator(gen)) == Form.generator(gen)
+        assert shear.pullback(Form.generator("dz")) == Form.from_terms(
+            (1, "dz"), (2, "dw")
+        )
+
+    def test_from_images_rejects_a_two_form_image(self):
+        with pytest.raises(ValueError, match="image of dz is not a 1-form"):
+            CoframeMap.from_images({"dz": Form.from_terms((1, "dz", "dw"))})
 
 
 class TestLinearOperator:
@@ -303,7 +332,7 @@ class TestLinearOperator:
         assert is_almost_complex(jk)
 
     def test_swap_is_not_almost_complex(self):
-        swap = LinearOperator(
+        swap = LinearOperator.from_images(
             {"dx": Form.generator("dy"), "dy": Form.generator("dx")}
         )
         assert not is_almost_complex(swap)
@@ -314,6 +343,13 @@ class TestLinearOperator:
         image = jk(dw)
         for i, gen in enumerate(GENERATORS):
             assert image.coefficient(gen) == jk.matrix[i][GENERATORS.index("dw")]
+
+    def test_call_matches_pullback_on_degrees_zero_and_one(self):
+        jk = almost_complex_structure("symbolic")
+        x = RationalFunction.variable("x")
+        form = Form.function(x) + Form.from_terms((2, "dw"), (x, "dy"), (1, "ds2"))
+        assert jk(form) == jk.pullback(form)
+        assert jk(form).coefficient() == x
 
     def test_operator_rejects_higher_degree(self):
         j0 = almost_complex_structure(0)
@@ -328,7 +364,9 @@ class TestLinearOperator:
     def test_pullback_functoriality(self):
         j0 = almost_complex_structure(0)
         phi = gluing_map(2)
-        shear = CoframeMap({"dz": Form.from_terms((1, "dz"), (2, "dw"))})
+        shear = CoframeMap.from_images(
+            {"dz": Form.from_terms((1, "dz"), (2, "dw"))}
+        )
         lhs = operator_pullback(compose(phi, shear), j0)
         rhs = operator_pullback(shear, operator_pullback(phi, j0))
         assert lhs == rhs
@@ -404,14 +442,14 @@ class TestCompatibility:
 
     def test_orientation_reversal_fails_positivity(self):
         j0 = almost_complex_structure(0)
-        minus = LinearOperator.from_matrix(mat_neg(j0.matrix))
+        minus = LinearOperator(mat_neg(j0.matrix))
         rep = compatibility_check(minus, standard_symplectic_form(), Region.INNER)
         # -J preserves omega but induces the negative-definite metric.
         assert rep.invariant and rep.symmetric
         assert rep.positivity_failures
 
     def test_incompatible_operator_detected(self):
-        swap = LinearOperator(
+        swap = LinearOperator.from_images(
             {
                 "dx": Form.generator("dy"),
                 "dy": -Form.generator("dx"),

@@ -8,6 +8,7 @@ from torus_surgery.coefficients import GaussianRational, Polynomial, RationalFun
 from torus_surgery.forms import (
     Form,
     Region,
+    compose,
     mat_determinant,
     mat_equal,
     mat_inverse,
@@ -294,6 +295,18 @@ class TestUnimodularCoframeMaps:
             assert mat_equal(
                 twist_coframe(tau.inverse()).matrix,
                 mat_inverse(twist_coframe(tau).matrix),
+            )
+
+    def test_twisted_gluing_inverse_conjugates_the_untwisted_inverse(self):
+        # check_theorem5 inverts the twisted gluing map as the composite
+        # around the inverse of the untwisted map.
+        phi = gluing_map("symbolic")
+        for tau in (SL2Z(2, 3, 1, 2), SL2Z(0, -1, 1, 0)):
+            twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
+            twisted = compose(compose(twist_inv, phi), twist)
+            assert mat_equal(
+                compose(compose(twist_inv, phi.inverse()), twist).matrix,
+                mat_inverse(twisted.matrix),
             )
 
 
