@@ -201,11 +201,11 @@ def _load_tau_file(path: str | None) -> list[surgery.SL2Z]:
 
 def cmd_sweep(args) -> int:
     taus = _load_tau_file(args.tau_file)
+    base = _parse_ints(args.base_k, "--base-k")
     if args.k_min > args.k_max:
         classes = []
     else:
         slots = [0, 1, 2, 3] if args.slot is None else [args.slot - 1]
-        base = _parse_ints(args.base_k, "--base-k")
         k_values = range(args.k_min, args.k_max + 1)
         # len() of a range longer than sys.maxsize raises OverflowError.
         count = (args.k_max - args.k_min + 1) ** len(slots) * len(taus) ** 4

@@ -21,6 +21,10 @@ EULER_CHARACTERISTIC = 0
 OBSTRUCTED = "obstructed"
 UNKNOWN = "unknown"
 
+#: Most relation shapes a sweep remembers at once; the table is cleared
+#: when full, so a sweep's memory stays bounded whatever its grid size.
+SHAPE_TABLE_CAP = 2**16
+
 
 def _require_int(value, name: str) -> None:
     """Reject anything but a true integer: no bool, float or string."""
@@ -143,6 +147,23 @@ def h1(descriptor: SurgeryDescriptor) -> AbelianGroup:
     return quotient_group(AMBIENT_RANK, relation_classes(descriptor))
 
 
+def relation_shape(descriptor: SurgeryDescriptor) -> tuple[int, ...]:
+    """The sorted pairs (|q_i k_i|, |s_i k_i|), flattened: everything the
+    first homology depends on.
+
+    Relation row i is q_i k_i e_2 + s_i k_i e_{w_i}, with every z-circle at
+    coordinate 2 and the w-circles at distinct coordinates. Negating e_{w_i}
+    flips the sign of the second entry, negating the row flips both, and
+    permuting rows together with their w-coordinates permutes the pairs;
+    each is an isomorphism of the quotient.
+    """
+    pairs = sorted(
+        (abs(tau.q * k), abs(tau.s * k))
+        for k, tau in zip(descriptor.ks, descriptor.taus)
+    )
+    return tuple(value for pair in pairs for value in pair)
+
+
 def min_product_b2(r: int) -> int:
     """Smallest second Betti number of a spin symplectic 4-manifold times a
     torus consistent with vanishing canonical class and b1 = r, derived
@@ -180,14 +201,6 @@ class SurgeryReport:
     kahler_obstructed: bool
     product_status: str
     relations: tuple[tuple[int, ...], ...]
-
-    def invariant_key(self):
-        return (
-            self.h1,
-            self.b1,
-            self.kahler_obstructed,
-            self.product_status,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -277,27 +290,40 @@ def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
     """Group descriptors by their invariants in one pass, holding one entry
     per class. Each class is represented by its lexicographically smallest
     descriptor and classes come out in that order, so the result does not
-    depend on the input order."""
-    groups: dict = {}
+    depend on the input order.
+
+    Every invariant of a report is a function of H1, and H1 a function of
+    the relation shape, so H1 is computed once per shape and a report is
+    built only for each class representative.
+    """
+    shapes: dict[tuple[int, ...], AbelianGroup] = {}
+    groups: dict[AbelianGroup, list] = {}
     for descriptor in descriptors:
-        rep = report(descriptor)
-        key = rep.invariant_key()
-        sort_key = descriptor.sort_key()
-        group = groups.get(key)
+        shape = relation_shape(descriptor)
+        group = shapes.get(shape)
         if group is None:
-            groups[key] = [sort_key, rep, 1]
+            if len(shapes) >= SHAPE_TABLE_CAP:
+                shapes.clear()
+            group = shapes[shape] = h1(descriptor)
+        sort_key = descriptor.sort_key()
+        entry = groups.get(group)
+        if entry is None:
+            groups[group] = [sort_key, descriptor, 1]
         else:
-            group[2] += 1
-            if sort_key < group[0]:
-                group[0], group[1] = sort_key, rep
-    return [
-        SweepClass(
-            h1=rep.h1,
-            b1=rep.b1,
-            kahler_obstructed=rep.kahler_obstructed,
-            product_status=rep.product_status,
-            representative=rep.descriptor,
-            count=count,
+            entry[2] += 1
+            if sort_key < entry[0]:
+                entry[0], entry[1] = sort_key, descriptor
+    classes = []
+    for _, descriptor, count in sorted(groups.values(), key=lambda g: g[0]):
+        rep = report(descriptor)
+        classes.append(
+            SweepClass(
+                h1=rep.h1,
+                b1=rep.b1,
+                kahler_obstructed=rep.kahler_obstructed,
+                product_status=rep.product_status,
+                representative=descriptor,
+                count=count,
+            )
         )
-        for _, rep, count in sorted(groups.values(), key=lambda g: g[0])
-    ]
+    return classes

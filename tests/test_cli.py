@@ -306,6 +306,14 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: --base-k")
 
+    def test_bad_base_k_with_an_empty_range(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--k-min", "1", "--k-max", "0", "--base-k", "garbage"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --base-k")
+
     def test_grid_over_the_limit_exits_before_running(self, capsys, monkeypatch):
         def no_sweep(descriptors):
             raise AssertionError("the sweep should not start")

@@ -1,11 +1,17 @@
 """Surgery descriptors, first homology, bounds, and obstructions."""
 
+import functools
+import itertools
 import json
 import math
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from torus_surgery import surgery
 
 from torus_surgery.lattice import AbelianGroup
 from torus_surgery.surgery import (
@@ -18,6 +24,7 @@ from torus_surgery.surgery import (
     product_obstruction,
     realize,
     relation_classes,
+    relation_shape,
     report,
     sweep,
     sweep_descriptors,
@@ -60,6 +67,59 @@ def normal_form_of_cyclic_sum(orders):
     rank = values.count(0)
     torsion = sorted(v for v in values if v > 1)
     return rank, tuple(torsion)
+
+
+def leibniz_determinant(matrix):
+    """Sum over permutations of signed products."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+        )
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def minor_gcd_group(rows):
+    """(rank, torsion) of Z^6 modulo the rows, from the gcds of the j x j
+    minors (the determinantal divisors)."""
+    factors = []
+    previous = 1
+    for size in range(1, len(rows) + 1):
+        g = 0
+        for picked in itertools.combinations(rows, size):
+            for cols in itertools.combinations(range(6), size):
+                g = math.gcd(
+                    g, leibniz_determinant([[r[c] for c in cols] for r in picked])
+                )
+        if g == 0:
+            break
+        factors.append(g // previous)
+        previous = g
+    return 6 - len(factors), tuple(d for d in factors if d > 1)
+
+
+def descriptor_order(d):
+    return d.ks, tuple((t.p, t.q, t.r, t.s) for t in d.taus)
+
+
+def oracle_sweep(descriptors):
+    """(rank, torsion, representative, count) per class, grouping by the
+    closed-form relations and their minor gcds, in representative order."""
+    members = {}
+    for d in descriptors:
+        key = minor_gcd_group(tuple(map(tuple, closed_form_relations(d))))
+        members.setdefault(key, []).append(d)
+    classes = []
+    for (rank, torsion), ds in members.items():
+        rep = min(ds, key=descriptor_order)
+        classes.append((descriptor_order(rep), rank, torsion, rep, len(ds)))
+    return [c[1:] for c in sorted(classes)]
 
 
 def random_sl2z(rng, bound=9):
@@ -197,6 +257,81 @@ class TestFirstHomology:
             assert h1(SurgeryDescriptor(ks, tuple(taus))) == h1(
                 SurgeryDescriptor(ks, tuple(negated))
             )
+
+
+def e_w_flipped(tau):
+    """A twist whose relation row has the e_w entry negated: (-p, q, r, -s)
+    has determinant ps - qr = 1 and pushes k*w to (q k, -s k)."""
+    return SL2Z(-tau.p, tau.q, tau.r, -tau.s)
+
+
+class TestRelationShape:
+    """H1 is unchanged by the moves the relation shape forgets, so the shape
+    is a sound key for H1 whatever the embedding catalog says."""
+
+    def random_descriptor(self, rng):
+        return SurgeryDescriptor(
+            tuple(rng.randint(-7, 7) for _ in range(4)),
+            tuple(random_sl2z(rng) for _ in range(4)),
+        )
+
+    def test_row_sign_flip(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            d = self.random_descriptor(rng)
+            slot = rng.randrange(4)
+            ks = tuple(-k if i == slot else k for i, k in enumerate(d.ks))
+            flipped = SurgeryDescriptor(ks, d.taus)
+            assert relation_classes(flipped)[slot] == [
+                -v for v in relation_classes(d)[slot]
+            ]
+            assert relation_shape(flipped) == relation_shape(d)
+            assert h1(flipped) == h1(d)
+
+    def test_e_w_sign_flip(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            d = self.random_descriptor(rng)
+            slot = rng.randrange(4)
+            taus = tuple(
+                e_w_flipped(t) if i == slot else t for i, t in enumerate(d.taus)
+            )
+            flipped = SurgeryDescriptor(d.ks, taus)
+            row = relation_classes(d)[slot]
+            flipped_row = relation_classes(flipped)[slot]
+            w = W_COORDINATES[slot] - 1
+            assert flipped_row[w] == -row[w]
+            assert flipped_row[:w] + flipped_row[w + 1:] == row[:w] + row[w + 1:]
+            assert relation_shape(flipped) == relation_shape(d)
+            assert h1(flipped) == h1(d)
+
+    def test_slot_permutation(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            d = self.random_descriptor(rng)
+            order = rng.sample(range(4), 4)
+            permuted = SurgeryDescriptor(
+                tuple(d.ks[i] for i in order), tuple(d.taus[i] for i in order)
+            )
+            assert relation_shape(permuted) == relation_shape(d)
+            assert h1(permuted) == h1(d)
+
+    def test_equal_shapes_have_equal_h1(self):
+        rng = random.Random(53)
+        seen = {}
+        repeats = 0
+        for _ in range(3000):
+            d = SurgeryDescriptor(
+                tuple(rng.choice((0, 0, 1, -1, 2, -3, 4, 6)) for _ in range(4)),
+                tuple(random_sl2z(rng, bound=3) for _ in range(4)),
+            )
+            shape = relation_shape(d)
+            if shape in seen:
+                repeats += 1
+                assert h1(d) == seen[shape]
+            else:
+                seen[shape] = h1(d)
+        assert repeats > 500
 
 
 class TestObstructions:
@@ -338,3 +473,95 @@ class TestSweep:
         assert only.count == 500
         assert only.representative.taus[0] == SL2Z(1, 0, 0, 1)
         assert peak <= 3
+
+
+TWIST_POOL = (
+    SL2Z.identity(),  # q = 0
+    SL2Z(0, -1, 1, 0),  # rotation: s = 0
+    SL2Z(1, 1, 0, 1),
+    SL2Z(1, -1, 0, 1),
+    SL2Z(1, 0, 1, 1),  # q = 0
+    SL2Z(2, 3, 1, 2),
+    SL2Z(-1, 0, 0, -1),
+    SL2Z(2, 1, 1, 1),
+)
+
+small_grids = st.tuples(
+    st.integers(-3, 2),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(TWIST_POOL), min_size=1, max_size=2, unique=True),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    st.tuples(*[st.integers(-4, 4)] * 4),
+)
+
+descriptor_lists = st.lists(
+    st.builds(
+        SurgeryDescriptor,
+        st.tuples(*[st.integers(-6, 6)] * 4),
+        st.tuples(*[st.sampled_from(TWIST_POOL)] * 4),
+    ),
+    max_size=40,
+)
+
+
+def assert_matches_oracle(classes, descriptors):
+    expected = oracle_sweep(descriptors)
+    assert [
+        (c.h1.rank, c.h1.torsion, c.representative, c.count) for c in classes
+    ] == expected
+    for c in classes:
+        assert c.b1 == c.h1.rank
+        assert c.kahler_obstructed == (c.b1 % 2 == 1)
+
+
+class TestSweepOracle:
+    """sweep against grouping by the closed-form relations' minor gcds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=small_grids)
+    def test_small_grids(self, grid):
+        k_min, k_count, taus, slots, base_ks = grid
+        descriptors = list(
+            sweep_descriptors(
+                range(k_min, k_min + k_count), taus, slots=slots, base_ks=base_ks
+            )
+        )
+        assert_matches_oracle(sweep(descriptors), descriptors)
+
+    @settings(max_examples=100, deadline=None)
+    @given(descriptors=descriptor_lists)
+    def test_descriptor_lists(self, descriptors):
+        assert_matches_oracle(sweep(descriptors), descriptors)
+
+
+class TestSweepShapeTable:
+    GRID = dict(k_values=range(-1, 2), tau_set=TWIST_POOL[:3])
+
+    def counting(self, monkeypatch, name):
+        calls = []
+        original = getattr(surgery, name)
+
+        def wrapper(descriptor):
+            calls.append(descriptor)
+            return original(descriptor)
+
+        monkeypatch.setattr(surgery, name, wrapper)
+        return calls
+
+    def test_h1_once_per_shape_and_report_once_per_class(self, monkeypatch):
+        descriptors = list(sweep_descriptors(**self.GRID))
+        h1_calls = self.counting(monkeypatch, "h1")
+        report_calls = self.counting(monkeypatch, "report")
+        classes = sweep(descriptors)
+        assert len(h1_calls) == len({relation_shape(d) for d in descriptors})
+        assert len(h1_calls) < len(descriptors) // 10
+        assert report_calls == [c.representative for c in classes]
+
+    def test_clearing_a_full_table_keeps_the_output(self, monkeypatch):
+        descriptors = list(sweep_descriptors(**self.GRID))
+        expected = [c.to_json() for c in sweep(descriptors)]
+        monkeypatch.setattr(surgery, "SHAPE_TABLE_CAP", 2)
+        h1_calls = self.counting(monkeypatch, "h1")
+        assert [c.to_json() for c in sweep(descriptors)] == expected
+        # a table of two shapes forgets most of the 6561 descriptors' shapes
+        assert len(h1_calls) > len({relation_shape(d) for d in descriptors})

@@ -11,6 +11,7 @@ from torus_surgery.forms import (
     compose,
     mat_determinant,
     mat_equal,
+    mat_identity,
     mat_inverse,
     mat_mul,
     mat_transpose,
@@ -25,6 +26,7 @@ from torus_surgery.verification import (
     correction_form,
     eigenform_product,
     gluing_map,
+    gluing_map_inverse,
     interpolated_form,
     negative_control_reports,
     standard_symplectic_form,
@@ -307,6 +309,24 @@ class TestUnimodularCoframeMaps:
             assert mat_equal(
                 compose(compose(twist_inv, phi.inverse()), twist).matrix,
                 mat_inverse(twisted.matrix),
+            )
+
+
+class TestGluingInverse:
+    """The gluing map's inverse is the same map with k negated."""
+
+    KS = ("symbolic", 0, 3, -3)
+
+    def test_composes_to_the_identity(self):
+        for k in self.KS:
+            phi, phi_inv = gluing_map(k), gluing_map_inverse(k)
+            for product in (compose(phi, phi_inv), compose(phi_inv, phi)):
+                assert mat_equal(product.matrix, mat_identity(6))
+
+    def test_matches_elimination(self):
+        for k in self.KS:
+            assert mat_equal(
+                gluing_map_inverse(k).matrix, mat_inverse(gluing_map(k).matrix)
             )
 
 
