@@ -20,13 +20,26 @@ RationalLike = Union[int, Fraction]
 
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b."""
+    """A number a + b*i with exact rational a, b.
+
+    Each part is held as an ``int`` when it is integral and as a
+    ``Fraction`` only when it is not, so every value has one form and
+    Gaussian integers never touch ``fractions``.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is not int:
+            re = Fraction(re)
+            if re.denominator == 1:
+                re = re.numerator
+        if type(im) is not int:
+            im = Fraction(im)
+            if im.denominator == 1:
+                im = im.numerator
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -51,9 +64,10 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (GaussianRational, int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -62,36 +76,39 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
-        return self + (-GaussianRational.coerce(other))
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (GaussianRational, int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
+        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return GaussianRational.coerce(other) + (-self)
+        return GaussianRational.coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (GaussianRational, int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, (GaussianRational, int, Fraction)):
-            return NotImplemented
-        other = GaussianRational.coerce(other)
-        norm = other.re * other.re + other.im * other.im
+        if type(other) is not GaussianRational:
+            if not isinstance(other, (GaussianRational, int, Fraction)):
+                return NotImplemented
+            other = GaussianRational.coerce(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        norm = c * c + d * d
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
+        # Fraction first: int / int would be a float.
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
+            Fraction(a * c + b * d) / norm, Fraction(b * c - a * d) / norm
         )
 
     def __pow__(self, n: int) -> "GaussianRational":

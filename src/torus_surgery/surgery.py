@@ -216,13 +216,22 @@ class SurgeryReport:
         }
 
 
-def report(descriptor: SurgeryDescriptor) -> SurgeryReport:
-    relations = relation_classes(descriptor)
-    group = quotient_group(AMBIENT_RANK, relations)
+def h1_invariants(group: AbelianGroup) -> tuple[int, int, int, bool, str]:
+    """``(b1, bound_b2, bound_b3, kahler_obstructed, product_status)``, each
+    a function of the first homology alone."""
     b1 = group.rank
     bound_b2 = 15 + b1
     # Euler characteristic zero: 0 = 2 - 2*b1 + 2*b2 - b3 <= 32 - b3.
     bound_b3 = 2 - 2 * b1 + 2 * bound_b2
+    return (
+        b1, bound_b2, bound_b3, b1 % 2 == 1, product_obstruction(b1, bound_b2)
+    )
+
+
+def report(descriptor: SurgeryDescriptor) -> SurgeryReport:
+    relations = relation_classes(descriptor)
+    group = quotient_group(AMBIENT_RANK, relations)
+    b1, bound_b2, bound_b3, kahler, status = h1_invariants(group)
     return SurgeryReport(
         descriptor=descriptor,
         h1=group,
@@ -230,8 +239,8 @@ def report(descriptor: SurgeryDescriptor) -> SurgeryReport:
         bound_b2=bound_b2,
         bound_b3=bound_b3,
         euler=EULER_CHARACTERISTIC,
-        kahler_obstructed=(b1 % 2 == 1),
-        product_status=product_obstruction(b1, bound_b2),
+        kahler_obstructed=kahler,
+        product_status=status,
         relations=tuple(tuple(row) for row in relations),
     )
 
@@ -293,8 +302,8 @@ def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
     depend on the input order.
 
     Every invariant of a report is a function of H1, and H1 a function of
-    the relation shape, so H1 is computed once per shape and a report is
-    built only for each class representative.
+    the relation shape, so H1 is computed once per shape and each class's
+    invariants are read off the H1 that keys it.
     """
     shapes: dict[tuple[int, ...], AbelianGroup] = {}
     groups: dict[AbelianGroup, list] = {}
@@ -314,14 +323,16 @@ def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
             if sort_key < entry[0]:
                 entry[0], entry[1] = sort_key, descriptor
     classes = []
-    for _, descriptor, count in sorted(groups.values(), key=lambda g: g[0]):
-        rep = report(descriptor)
+    for group, (_, descriptor, count) in sorted(
+        groups.items(), key=lambda item: item[1][0]
+    ):
+        b1, _, _, kahler, status = h1_invariants(group)
         classes.append(
             SweepClass(
-                h1=rep.h1,
-                b1=rep.b1,
-                kahler_obstructed=rep.kahler_obstructed,
-                product_status=rep.product_status,
+                h1=group,
+                b1=b1,
+                kahler_obstructed=kahler,
+                product_status=status,
                 representative=descriptor,
                 count=count,
             )

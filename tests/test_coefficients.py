@@ -62,6 +62,101 @@ class TestGaussianRational:
         assert GaussianRational(2, 1) ** 0 == GaussianRational(1)
 
 
+def rationals():
+    """Integral and non-integral parts, as ``int`` and as ``Fraction``."""
+    return st.one_of(
+        st.integers(min_value=-20, max_value=20),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    )
+
+
+def assert_parts(g, re, im):
+    """``g`` holds ``re + im*i`` in canonical form: each part an ``int``
+    when integral and a ``Fraction`` otherwise, never a float."""
+    for part, want in ((g.re, re), (g.im, im)):
+        assert part == want
+        assert type(part) is (int if want.denominator == 1 else Fraction)
+
+
+class TestGaussianRationalOracle:
+    """Every operator against a pair of ``Fraction``s computed here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals(), rationals(), rationals(), rationals())
+    def test_binary_operators(self, a, b, c, d):
+        a, b, c, d = map(Fraction, (a, b, c, d))
+        x, y = GaussianRational(a, b), GaussianRational(c, d)
+        assert_parts(x, a, b)
+        assert_parts(x + y, a + c, b + d)
+        assert_parts(x - y, a - c, b - d)
+        assert_parts(x * y, a * c - b * d, a * d + b * c)
+        assert_parts(-x, -a, -b)
+        norm = c * c + d * d
+        if norm:
+            assert_parts(x / y, (a * c + b * d) / norm, (b * c - a * d) / norm)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        assert (x == y) == ((a, b) == (c, d))
+        assert hash(x) == hash((a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals(), rationals(), rationals())
+    def test_scalar_on_either_side(self, a, b, s):
+        x = GaussianRational(a, b)
+        a, b, t = Fraction(a), Fraction(b), Fraction(s)
+        assert_parts(x + s, a + t, b)
+        assert_parts(s + x, a + t, b)
+        assert_parts(x - s, a - t, b)
+        assert_parts(s - x, t - a, -b)
+        assert_parts(x * s, a * t, b * t)
+        assert_parts(s * x, a * t, b * t)
+        if t:
+            assert_parts(x / s, a / t, b / t)
+        assert (x == s) == ((a, b) == (t, 0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rationals(), rationals(), st.integers(min_value=0, max_value=6))
+    def test_power(self, a, b, n):
+        re, im = Fraction(1), Fraction(0)
+        a, b = Fraction(a), Fraction(b)
+        for _ in range(n):
+            re, im = re * a - im * b, re * b + im * a
+        assert_parts(GaussianRational(a, b) ** n, re, im)
+
+    def test_gaussian_integer_quotients_stay_exact(self):
+        half = Fraction(1, 2)
+        assert_parts(GaussianRational(1) / GaussianRational(2), half, 0)
+        assert_parts(I / 2, 0, half)
+        assert_parts(GaussianRational(4, 2) / 2, 2, 1)
+        assert_parts(GaussianRational(3, 1) / I, 1, -3)
+
+
+class TestGaussianRationalCanonicalForm:
+    def test_integral_fraction_is_held_as_int(self):
+        assert type(GaussianRational(Fraction(4, 2)).re) is int
+
+    def test_bool_is_the_integer(self):
+        assert GaussianRational(True) == GaussianRational(1)
+        assert hash(GaussianRational(True)) == hash(GaussianRational(1))
+        assert type(GaussianRational(True).re) is int
+
+    def test_hash_ignores_how_an_integer_was_given(self):
+        assert hash(GaussianRational(3)) == hash(GaussianRational(Fraction(3)))
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (GaussianRational(5), "5"),
+            (GaussianRational(0, Fraction(-2, 3)), "-2/3*i"),
+            (GaussianRational(Fraction(1, 2), -3), "(1/2-3*i)"),
+            (GaussianRational(2, 1), "(2+1*i)"),
+        ],
+    )
+    def test_str(self, value, text):
+        assert str(value) == text
+
+
 class TestPolynomial:
     def test_variables_and_constants(self):
         x = Polynomial.variable("x")
