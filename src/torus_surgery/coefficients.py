@@ -112,16 +112,7 @@ class GaussianRational:
         )
 
     def __pow__(self, n: int) -> "GaussianRational":
-        if n < 0:
-            raise ValueError("negative power")
-        result = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ONE)
 
     def is_real(self) -> bool:
         return self.im == 0
@@ -140,6 +131,19 @@ class GaussianRational:
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+
+def _power(base, n: int, one):
+    """``base ** n`` by square-and-multiply, starting from ``one``."""
+    if n < 0:
+        raise ValueError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 class Polynomial:
@@ -184,20 +188,17 @@ class Polynomial:
 
     # -- ring structure ---------------------------------------------------
 
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return other
-        return Polynomial.constant(other)
+    @staticmethod
+    def coerce(value) -> "Polynomial":
+        if isinstance(value, Polynomial):
+            return value
+        return Polynomial.constant(value)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = Polynomial.coerce(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            total = terms.get(exps, ZERO) + coeff
-            if total:
-                terms[exps] = total
-            else:
-                terms.pop(exps, None)
+            terms[exps] = terms.get(exps, ZERO) + coeff
         return Polynomial(terms)
 
     __radd__ = __add__
@@ -206,37 +207,24 @@ class Polynomial:
         return Polynomial({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-Polynomial.coerce(other))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return Polynomial.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = Polynomial.coerce(other)
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(exps, ZERO) + c1 * c2
-                if total:
-                    terms[exps] = total
-                else:
-                    terms.pop(exps, None)
+                terms[exps] = terms.get(exps, ZERO) + c1 * c2
         return Polynomial(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Polynomial.constant(1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -282,21 +270,13 @@ class Polynomial:
         return Polynomial({e: c * factor for e, c in self.terms.items()})
 
     def derivative(self, name: str) -> "Polynomial":
+        # Distinct monomials have distinct derivatives, so nothing collects.
         idx = SYMBOLS.index(name)
-        terms: dict[tuple[int, ...], GaussianRational] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[idx] = e - 1
-            key = tuple(new)
-            total = terms.get(key, ZERO) + coeff * e
-            if total:
-                terms[key] = total
-            else:
-                terms.pop(key, None)
-        return Polynomial(terms)
+        return Polynomial({
+            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: coeff * exps[idx]
+            for exps, coeff in self.terms.items()
+            if exps[idx]
+        })
 
     def substitute(
         self, assignment: Mapping[str, "RationalFunction"]
@@ -407,15 +387,16 @@ class RationalFunction:
 
     # -- field structure --------------------------------------------------
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction.from_polynomial(other)
-        return RationalFunction.constant(other)
+    @staticmethod
+    def coerce(value) -> "RationalFunction":
+        if isinstance(value, RationalFunction):
+            return value
+        if isinstance(value, Polynomial):
+            return RationalFunction.from_polynomial(value)
+        return RationalFunction.constant(value)
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other = RationalFunction.coerce(other)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -426,25 +407,25 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-RationalFunction.coerce(other))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return RationalFunction.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other = RationalFunction.coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other = RationalFunction.coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return RationalFunction.coerce(other) / self
 
     def power(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -453,7 +434,7 @@ class RationalFunction:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
-            other = self._coerce(other)
+            other = RationalFunction.coerce(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (self.num * other.den) == (other.num * self.den)

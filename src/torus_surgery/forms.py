@@ -43,14 +43,6 @@ def _sort_indices(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     return tuple(order), sign
 
 
-def _coerce_coeff(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, Polynomial):
-        return RationalFunction.from_polynomial(value)
-    return RationalFunction.constant(value)
-
-
 class Region(enum.Enum):
     """Where on the surgery disk a formula is evaluated.
 
@@ -113,7 +105,7 @@ class Form:
         """
         result = cls.zero()
         for coeff, *names in terms:
-            coeff = _coerce_coeff(coeff)
+            coeff = RationalFunction.coerce(coeff)
             indices = [GENERATORS.index(n) for n in names]
             sorted_key = _sort_indices(indices)
             if sorted_key is None:
@@ -129,21 +121,14 @@ class Form:
     @classmethod
     def function(cls, coeff) -> "Form":
         """Degree-0 form (a coefficient)."""
-        return cls({(): _coerce_coeff(coeff)})
+        return cls({(): RationalFunction.coerce(coeff)})
 
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
-            if key in terms:
-                total = terms[key] + coeff
-                if total.is_zero():
-                    del terms[key]
-                else:
-                    terms[key] = total
-            else:
-                terms[key] = coeff
+            terms[key] = terms[key] + coeff if key in terms else coeff
         return Form(terms)
 
     def __neg__(self) -> "Form":
@@ -153,7 +138,7 @@ class Form:
         return self + (-other)
 
     def __mul__(self, scalar) -> "Form":
-        scalar = _coerce_coeff(scalar)
+        scalar = RationalFunction.coerce(scalar)
         return Form({k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -194,14 +179,7 @@ class Form:
                     continue
                 key, sign = sorted_key
                 coeff = c1 * c2 * sign
-                if key in terms:
-                    total = terms[key] + coeff
-                    if total.is_zero():
-                        del terms[key]
-                    else:
-                        terms[key] = total
-                elif not coeff.is_zero():
-                    terms[key] = coeff
+                terms[key] = terms[key] + coeff if key in terms else coeff
         return Form(terms)
 
     def wedge_power(self, n: int) -> "Form":

@@ -21,10 +21,6 @@ EULER_CHARACTERISTIC = 0
 OBSTRUCTED = "obstructed"
 UNKNOWN = "unknown"
 
-#: Most relation shapes a sweep remembers at once; the table is cleared
-#: when full, so a sweep's memory stays bounded whatever its grid size.
-SHAPE_TABLE_CAP = 2**16
-
 
 def _require_int(value, name: str) -> None:
     """Reject anything but a true integer: no bool, float or string."""
@@ -32,7 +28,7 @@ def _require_int(value, name: str) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SL2Z:
     """An integer 2x2 matrix [[p, q], [r, s]] of determinant one."""
 
@@ -77,10 +73,11 @@ class SL2Z:
         return cls(p, q, r, s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SurgeryDescriptor:
     """Four twist coefficients and four determinant-one matrices, one per
-    embedded 4-torus."""
+    embedded 4-torus. Descriptors order by ``ks``, then by each twist's
+    ``(p, q, r, s)``."""
 
     ks: tuple[int, int, int, int]
     taus: tuple[SL2Z, SL2Z, SL2Z, SL2Z]
@@ -93,12 +90,6 @@ class SurgeryDescriptor:
     def plain(cls, *ks: int) -> "SurgeryDescriptor":
         identity = SL2Z.identity()
         return cls(tuple(ks), (identity,) * 4)
-
-    def sort_key(self):
-        return (
-            self.ks,
-            tuple((t.p, t.q, t.r, t.s) for t in self.taus),
-        )
 
     def to_json(self) -> dict:
         return {
@@ -311,19 +302,16 @@ def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
         shape = relation_shape(descriptor)
         group = shapes.get(shape)
         if group is None:
-            if len(shapes) >= SHAPE_TABLE_CAP:
-                shapes.clear()
             group = shapes[shape] = h1(descriptor)
-        sort_key = descriptor.sort_key()
         entry = groups.get(group)
         if entry is None:
-            groups[group] = [sort_key, descriptor, 1]
+            groups[group] = [descriptor, 1]
         else:
-            entry[2] += 1
-            if sort_key < entry[0]:
-                entry[0], entry[1] = sort_key, descriptor
+            entry[1] += 1
+            if descriptor < entry[0]:
+                entry[0] = descriptor
     classes = []
-    for group, (_, descriptor, count) in sorted(
+    for group, (descriptor, count) in sorted(
         groups.items(), key=lambda item: item[1][0]
     ):
         b1, _, _, kahler, status = h1_invariants(group)

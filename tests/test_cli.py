@@ -216,13 +216,22 @@ class TestVerifyForms:
         assert code == 0
         assert out == (GOLDEN / "verify_forms_k2.json").read_text()
 
-    def test_golden_symbolic_twist_json(self, capsys):
+    @pytest.mark.parametrize(
+        "name, k, tau",
+        [
+            ("verify_forms_symbolic_tau", "symbolic", "2,3,1,2"),
+            # concrete k: residuals with non-integral coefficients
+            ("verify_forms_concrete_tau", "-7", "13,8,21,13"),
+        ],
+        ids=["symbolic", "concrete"],
+    )
+    def test_golden_twist_json(self, capsys, name, k, tau):
         code, out, _ = run(
-            capsys, "verify-forms", "--k", "symbolic", "--tau=2,3,1,2",
+            capsys, "verify-forms", f"--k={k}", f"--tau={tau}",
             "--negative-controls", "--json",
         )
         assert code == 0
-        assert out == (GOLDEN / "verify_forms_symbolic_tau.json").read_text()
+        assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 class TestLemma6:

@@ -13,6 +13,7 @@ from torus_surgery.coefficients import (
     RationalFunction,
     I,
 )
+from torus_surgery.forms import Form
 
 
 def gaussian_rationals():
@@ -170,6 +171,15 @@ class TestPolynomial:
         y = Polynomial.variable("y")
         assert (x + y) - y == x
         assert not ((x * y) - (y * x)).terms  # no zero coefficients stored
+        # x*y and -y*x cancel inside one multiplication
+        product = (x + y) * (x - y)
+        assert product == x * x - y * y
+        assert (1, 1, 0, 0) not in product.terms
+        f = Form.from_terms((x, "dx"), (y, "dy", "dz"))
+        assert (f + (-f)).terms == {}
+        g = Form.from_terms((-x, "dx"), (1, "dw"))
+        assert set((f + g).terms) == {(1, 2), (3,)}
+        assert all(not c.is_zero() for c in (f + g).terms.values())
 
     @settings(max_examples=40)
     @given(polynomials(), polynomials(), polynomials())
@@ -187,6 +197,11 @@ class TestPolynomial:
         y = Polynomial.variable("y")
         p = x + 2 * y
         assert p**3 == p * p * p
+        assert p**0 == 1
+        with pytest.raises(ValueError):
+            p ** -1
+        with pytest.raises(ValueError):
+            GaussianRational(1, 1) ** -1
 
     def test_derivative(self):
         x = Polynomial.variable("x")

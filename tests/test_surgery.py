@@ -556,12 +556,3 @@ class TestSweepShapeTable:
         assert len(group_calls) == len({relation_shape(d) for d in descriptors})
         assert len(group_calls) < len(descriptors) // 10
         assert report_calls == []
-
-    def test_clearing_a_full_table_keeps_the_output(self, monkeypatch):
-        descriptors = list(sweep_descriptors(**self.GRID))
-        expected = [c.to_json() for c in sweep(descriptors)]
-        monkeypatch.setattr(surgery, "SHAPE_TABLE_CAP", 2)
-        h1_calls = self.counting(monkeypatch, "h1")
-        assert [c.to_json() for c in sweep(descriptors)] == expected
-        # a table of two shapes forgets most of the 6561 descriptors' shapes
-        assert len(h1_calls) > len({relation_shape(d) for d in descriptors})
