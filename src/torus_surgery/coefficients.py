@@ -483,41 +483,3 @@ class RationalFunction:
 
     __repr__ = __str__
 
-
-def _gauss_jordan(rows):
-    """Gauss-Jordan elimination over an exact field whose zero is falsy
-    (``Fraction``, ``GaussianRational`` or ``RationalFunction``).
-
-    Returns the reduced rows and the pivot records of ``_pivot_steps``.
-    Rank, determinant, leading minors and inverse are all read off those
-    records.
-    """
-    a = [list(row) for row in rows]
-    pivots = list(_pivot_steps(a))
-    return a, pivots
-
-
-def _pivot_steps(a):
-    """Reduce the rows ``a`` in place, yielding one ``(found_row, column,
-    value)`` record per pivot as soon as it is made: the row the pivot was
-    found in before the swap, its column, and its value before its row is
-    scaled to 1. Each column's pivot is the first nonzero entry at or below
-    the current row; a column with none is skipped. A caller that stops
-    early skips the rest of the elimination.
-    """
-    top = 0
-    for col in range(len(a[0]) if a else 0):
-        if top == len(a):
-            break
-        found = next((r for r in range(top, len(a)) if a[r][col]), None)
-        if found is None:
-            continue
-        a[top], a[found] = a[found], a[top]
-        value = a[top][col]
-        a[top] = [v / value for v in a[top]]
-        for r in range(len(a)):
-            factor = a[r][col]
-            if r != top and factor:
-                a[r] = [v - factor * w for v, w in zip(a[r], a[top])]
-        top += 1
-        yield found, col, value

@@ -12,13 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Mapping, Sequence
 
-from .coefficients import (
-    SYMBOLS,
-    Polynomial,
-    RationalFunction,
-    _gauss_jordan,
-    _pivot_steps,
-)
+from .coefficients import SYMBOLS, Polynomial, RationalFunction
 
 GENERATORS = ("dx", "dy", "dz", "dw", "ds1", "ds2")
 
@@ -274,13 +268,40 @@ def mat_equal(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _pivot_steps(a):
+    """Gauss-Jordan reduce the rows ``a`` in place over an exact field
+    whose zero is falsy, yielding one ``(found_row, column, value)`` record
+    per pivot as soon as it is made: the row the pivot was found in before
+    the swap, its column, and its value before its row is scaled to 1. Each
+    column's pivot is the first nonzero entry at or below the current row;
+    a column with none is skipped. A caller that stops early skips the rest
+    of the elimination. Inverse, determinant and leading minors are all
+    read off these records.
+    """
+    top = 0
+    for col in range(len(a[0]) if a else 0):
+        if top == len(a):
+            break
+        found = next((r for r in range(top, len(a)) if a[r][col]), None)
+        if found is None:
+            continue
+        a[top], a[found] = a[found], a[top]
+        value = a[top][col]
+        a[top] = [v / value for v in a[top]]
+        for r in range(len(a)):
+            factor = a[r][col]
+            if r != top and factor:
+                a[r] = [v - factor * w for v, w in zip(a[r], a[top])]
+        top += 1
+        yield found, col, value
+
+
 def mat_inverse(m: list[list[RationalFunction]]) -> list[list[RationalFunction]]:
     """Gauss-Jordan inverse over the rational-function field: reduce
     [m | I] and read off the right half."""
     n = len(m)
-    reduced, pivots = _gauss_jordan(
-        [row + unit for row, unit in zip(m, mat_identity(n))]
-    )
+    reduced = [row + unit for row, unit in zip(m, mat_identity(n))]
+    pivots = list(_pivot_steps(reduced))
     if any(col >= n for _, col, _ in pivots):
         raise ValueError("matrix is singular")
     return [row[n:] for row in reduced]
@@ -288,7 +309,7 @@ def mat_inverse(m: list[list[RationalFunction]]) -> list[list[RationalFunction]]
 
 def mat_determinant(m: list[list[RationalFunction]]) -> RationalFunction:
     """The sign of the row swaps times the product of the pivots."""
-    _, pivots = _gauss_jordan(m)
+    pivots = list(_pivot_steps([list(row) for row in m]))
     if len(pivots) < len(m):
         return RationalFunction.zero()
     det = RationalFunction.constant(1)

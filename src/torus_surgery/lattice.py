@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .coefficients import _gauss_jordan
 
 COORDINATES = (1, 2, 3, 4, 5, 6)
 CIRCLE_LABELS = ("z", "w", "s1", "s2")
@@ -267,13 +265,6 @@ def find_dual_torus(i: int) -> CoordinateSubtorus:
 # -- exact integer linear algebra ------------------------------------------
 
 
-def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the number of pivots of an exact row
-    reduction."""
-    _, pivots = _gauss_jordan([[Fraction(v) for v in row] for row in matrix])
-    return len(pivots)
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """U * M * V = D with U, V unimodular and D diagonal with a
@@ -292,63 +283,34 @@ class SNFResult:
         return [d for d in self.diagonal if d != 0]
 
 
-def _int_identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def int_determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free expansion (matrices are tiny)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    if n == 1:
-        return matrix[0][0]
-    total = 0
-    for j in range(n):
-        if matrix[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        total += (-1) ** j * matrix[0][j] * int_determinant(minor)
-    return total
-
-
 def snf(matrix: Sequence[Sequence[int]]) -> SNFResult:
     """Smith normal form with tracked unimodular transforms.
+
+    The m x n matrix M is reduced inside one working matrix
+    [[M, I_m], [I_n, 0]]: row operations on the first m rows carry U in the
+    right block, and column operations on the first n columns carry V in
+    the bottom block.
 
     Pivot rule: smallest nonzero absolute value, ties broken row-major,
     which makes the output deterministic.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    a = [list(row) for row in matrix]
-    if any(len(row) != n for row in a):
+    if any(len(row) != n for row in matrix):
         raise ValueError("ragged matrix")
-    u = _int_identity(m)
-    v = _int_identity(n)
+    a = [list(row) + [1 if i == r else 0 for i in range(m)] for r, row in enumerate(matrix)]
+    a += [[1 if j == c else 0 for j in range(n)] + [0] * m for c in range(n)]
 
     def row_op(target, source, factor):
         a[target] = [x + factor * y for x, y in zip(a[target], a[source])]
-        u[target] = [x + factor * y for x, y in zip(u[target], u[source])]
 
     def col_op(target, source, factor):
         for row in a:
             row[target] += factor * row[source]
-        for row in v:
-            row[target] += factor * row[source]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(m, n):
@@ -360,10 +322,10 @@ def snf(matrix: Sequence[Sequence[int]]) -> SNFResult:
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
+        a[t], a[pivot[0]] = a[pivot[0]], a[t]
         swap_cols(t, pivot[1])
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         # One reduction pass of the pivot column and row by the pivot. Any
         # remainder is smaller than the pivot, so searching again for the
         # smallest entry terminates.
@@ -375,24 +337,27 @@ def snf(matrix: Sequence[Sequence[int]]) -> SNFResult:
                 col_op(j, t, -(a[t][j] // a[t][t]))
         if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, n)):
             continue
-        # Enforce divisibility against the rest of the block.
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
+        # Enforce divisibility against the rest of the block: fold the first
+        # row with an entry the pivot does not divide into the pivot row.
+        for i, j in itertools.product(range(t + 1, m), range(t + 1, n)):
+            if a[i][j] % a[t][t]:
+                row_op(t, i, 1)
                 break
-        if offender is not None:
-            row_op(t, offender, 1)
-            continue
-        t += 1
+        else:
+            t += 1
     return SNFResult(
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in a),
-        tuple(tuple(row) for row in v),
+        tuple(tuple(row[n:]) for row in a[:m]),
+        tuple(tuple(row[:n]) for row in a[:m]),
+        tuple(tuple(row[:n]) for row in a[m:]),
     )
+
+
+def rational_rank(matrix: Sequence[Sequence]) -> int:
+    """Rank over the rationals: the number of invariant factors of the
+    matrix with its denominators cleared, which scales it by a nonzero
+    integer and so keeps its rank. Entries are ints or ``Fraction``s."""
+    scale = math.lcm(*(v.denominator for row in matrix for v in row))
+    return len(snf([[int(v * scale) for v in row] for row in matrix]).invariant_factors)
 
 
 @dataclass(frozen=True)
@@ -472,8 +437,8 @@ def complement_betti() -> ComplementCertificate:
     sequence gives b2 = 6 + 15 - 4.
     """
     matrix = tuple(map(tuple, lemma_matrix()))
-    rank = rational_rank(matrix)
     factors = tuple(snf(matrix).invariant_factors)
+    rank = len(factors)
     duals = tuple(find_dual_torus(i) for i in (1, 2, 3, 4))
     ambient_rank = len(COORDINATES)
     cokernel_rank = len(matrix[0]) - rank

@@ -22,7 +22,6 @@ from torus_surgery.lattice import (
     MINUS_ONE,
     embedding_catalog,
     find_dual_torus,
-    int_determinant,
     is_dual_torus,
     lemma_matrix,
     rational_rank,
@@ -45,6 +44,12 @@ from torus_surgery.verification import (
     check_lemma2,
     check_theorem5,
     negative_control_reports,
+)
+
+from matrix_oracles import (
+    int_determinant,
+    int_mat_mul,
+    minor_gcd_invariant_factors,
 )
 
 
@@ -74,24 +79,6 @@ def normal_form_of_cyclic_sum(orders):
     return (values.count(0), tuple(sorted(v for v in values if v > 1)))
 
 
-def minor_gcd_invariant_factors(matrix):
-    """d_k = gcd(k x k minors) / gcd((k-1) x (k-1) minors)."""
-    m, n = len(matrix), len(matrix[0]) if matrix else 0
-    factors = []
-    previous = 1
-    for size in range(1, min(m, n) + 1):
-        g = 0
-        for rows in itertools.combinations(range(m), size):
-            for cols in itertools.combinations(range(n), size):
-                sub = [[matrix[i][j] for j in cols] for i in rows]
-                g = math.gcd(g, int_determinant(sub))
-        if g == 0:
-            break
-        factors.append(g // previous)
-        previous = g
-    return factors
-
-
 def random_sl2z(rng, bound=9):
     shear = SL2Z(1, 1, 0, 1)
     rot = SL2Z(0, -1, 1, 0)
@@ -114,14 +101,6 @@ def closed_form_relations(descriptor):
         row[w_coord - 1] += k * tau.s
         rows.append(row)
     return rows
-
-
-def int_mat_mul(a, b):
-    """Plain integer matrix product."""
-    return [
-        [sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 def cli(*args):

@@ -1,6 +1,5 @@
 """Exterior algebra: wedge laws, pullbacks, derivatives, operators."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,6 @@ from torus_surgery.forms import (
     mat_neg,
     operator_pullback,
 )
-from torus_surgery.lattice import int_determinant, rational_rank
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
     almost_complex_structure,
@@ -41,6 +39,8 @@ from torus_surgery.verification import (
     standard_symplectic_form,
     twist_coframe,
 )
+
+from matrix_oracles import int_determinant, small_matrices
 
 
 def is_almost_complex(operator):
@@ -372,37 +372,13 @@ class TestLinearOperator:
         assert lhs == rhs
 
 
-@st.composite
-def small_matrices(draw, square=False):
-    """Integer or Fraction matrices up to 5 x 5, zero-heavy so that row
-    swaps, skipped pivot columns and singular matrices are common."""
-    entries = draw(st.sampled_from((
-        st.integers(min_value=-2, max_value=2),
-        st.fractions(min_value=-2, max_value=2, max_denominator=3),
-    )))
-    m = draw(st.integers(min_value=1, max_value=5))
-    n = m if square else draw(st.integers(min_value=1, max_value=5))
-    return [[draw(entries) for _ in range(n)] for _ in range(m)]
-
-
-def rank_by_minors(matrix):
-    """Largest size of a nonzero minor."""
-    m, n = len(matrix), len(matrix[0])
-    for size in range(min(m, n), 0, -1):
-        for rows in itertools.combinations(range(m), size):
-            for cols in itertools.combinations(range(n), size):
-                if int_determinant([[matrix[i][j] for j in cols] for i in rows]):
-                    return size
-    return 0
-
-
 def _constant_matrix(matrix):
     return [[RationalFunction.constant(v) for v in row] for row in matrix]
 
 
 class TestMatrixElimination:
-    """The shared Gauss-Jordan routine, through each of its callers, against
-    cofactor expansion."""
+    """The field stack's Gauss-Jordan elimination, through the inverse and
+    the determinant, against cofactor expansion."""
 
     @given(small_matrices(square=True))
     @settings(max_examples=60, deadline=None)
@@ -424,11 +400,6 @@ class TestMatrixElimination:
         x = RationalFunction.variable("x")
         with pytest.raises(ValueError):
             mat_inverse([[x, x * x], [RationalFunction.constant(1), x]])
-
-    @given(small_matrices())
-    @settings(max_examples=100, deadline=None)
-    def test_rank_matches_largest_nonzero_minor(self, matrix):
-        assert rational_rank(matrix) == rank_by_minors(matrix)
 
 
 class TestCompatibility:

@@ -1,10 +1,11 @@
 """Subtorus combinatorics, Smith normal form, and the complement certificate."""
 
 import itertools
-import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from torus_surgery.lattice import (
     COORDINATES,
@@ -22,7 +23,6 @@ from torus_surgery.lattice import (
     circle_class,
     embedding_catalog,
     find_dual_torus,
-    int_determinant,
     intersect,
     is_dual_torus,
     lemma_matrix,
@@ -32,33 +32,12 @@ from torus_surgery.lattice import (
     three_torus_catalog,
 )
 
-
-def int_mat_mul(a, b):
-    """Plain integer matrix product."""
-    return [
-        [sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-# -- independent oracle: invariant factors from gcds of k x k minors --------
-
-
-def minor_gcd_invariant_factors(matrix):
-    m, n = len(matrix), len(matrix[0]) if matrix else 0
-    factors = []
-    previous = 1
-    for size in range(1, min(m, n) + 1):
-        g = 0
-        for rows in itertools.combinations(range(m), size):
-            for cols in itertools.combinations(range(n), size):
-                sub = [[matrix[i][j] for j in cols] for i in rows]
-                g = math.gcd(g, int_determinant(sub))
-        if g == 0:
-            break
-        factors.append(g // previous)
-        previous = g
-    return factors
+from matrix_oracles import (
+    int_determinant,
+    int_mat_mul,
+    minor_gcd_invariant_factors,
+    small_matrices,
+)
 
 
 class TestRoot8:
@@ -323,6 +302,53 @@ class TestSmithNormalForm:
     def test_ragged_matrix_rejected(self):
         with pytest.raises(ValueError):
             snf([[1, 2], [3]])
+
+    # The transforms ride in the borders of one working matrix, so shapes
+    # with no rows, no columns or no pivot are where the border could break.
+    @pytest.mark.parametrize(
+        "matrix",
+        [[], [[]], [[], []], [[0]], [[0, 0, 0], [0, 0, 0]], [[0], [0], [0]]],
+        ids=["0x0", "1x0", "2x0", "1x1-zero", "2x3-zero", "3x1-zero"],
+    )
+    def test_edge_shapes(self, matrix):
+        m, n = len(matrix), len(matrix[0]) if matrix else 0
+        result = snf(matrix)
+        u = [list(r) for r in result.U]
+        v = [list(r) for r in result.V]
+        assert (len(u), len(v)) == (m, n)
+        assert all(len(row) == m for row in u) and all(len(row) == n for row in v)
+        assert int_mat_mul(int_mat_mul(u, matrix), v) == [list(r) for r in result.D]
+        assert [list(r) for r in result.D] == [[0] * n for _ in range(m)]
+        assert abs(int_determinant(u)) == 1
+        assert abs(int_determinant(v)) == 1
+        assert result.invariant_factors == []
+        assert rational_rank(matrix) == 0
+
+
+def rank_by_minors(matrix):
+    """Largest size of a nonzero minor."""
+    m, n = len(matrix), len(matrix[0])
+    for size in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), size):
+            for cols in itertools.combinations(range(n), size):
+                if int_determinant([[matrix[i][j] for j in cols] for i in rows]):
+                    return size
+    return 0
+
+
+class TestRationalRank:
+    """Rank over the rationals, read off the Smith normal form of the matrix
+    cleared of denominators, against the largest nonzero minor."""
+
+    @given(small_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rank_matches_largest_nonzero_minor(self, matrix):
+        assert rational_rank(matrix) == rank_by_minors(matrix)
+
+    def test_clearing_denominators_keeps_rank(self):
+        # Scaled by 6 this is [[3, 2], [9, 6]], whose invariant factor is 1.
+        matrix = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]
+        assert rational_rank(matrix) == 1
 
 
 class TestAbelianGroup:
