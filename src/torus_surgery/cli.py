@@ -15,7 +15,9 @@ from pathlib import Path
 from . import lattice, surgery, verification
 
 
-#: Largest sweep grid run; a bigger one exits 2 instead of running for hours.
+#: Largest sweep grid, in descriptors, that ``sweep`` accepts; a bigger one
+#: exits 2. The sweep counts multisets of slot pairs rather than visiting
+#: each descriptor, so this bounds the grid asked for, not the work done.
 MAX_SWEEP_DESCRIPTORS = 10**7
 
 
@@ -206,17 +208,15 @@ def cmd_sweep(args) -> int:
         classes = []
     else:
         slots = [0, 1, 2, 3] if args.slot is None else [args.slot - 1]
-        k_values = range(args.k_min, args.k_max + 1)
         # len() of a range longer than sys.maxsize raises OverflowError.
         count = (args.k_max - args.k_min + 1) ** len(slots) * len(taus) ** 4
         if count > MAX_SWEEP_DESCRIPTORS:
             raise InputError(
                 f"sweep grid has {count} descriptors, limit {MAX_SWEEP_DESCRIPTORS}"
             )
-        descriptors = surgery.sweep_descriptors(
-            k_values, taus, slots=slots, base_ks=base
+        classes = surgery.sweep(
+            range(args.k_min, args.k_max + 1), taus, slots=slots, base_ks=base
         )
-        classes = surgery.sweep(descriptors)
     lines = [json.dumps(c.to_json()) for c in classes]
     if args.out:
         try:

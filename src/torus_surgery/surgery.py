@@ -6,14 +6,11 @@ manifolds, Betti-number bounds, and the Kähler / product obstructions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lattice import (
-    AbelianGroup,
-    embedding_catalog,
-    quotient_group,
-)
+from .lattice import AbelianGroup, embedding_catalog
 
 AMBIENT_RANK = 6
 EULER_CHARACTERISTIC = 0
@@ -134,13 +131,18 @@ def relation_classes(descriptor: SurgeryDescriptor) -> list[list[int]]:
 
 
 def h1(descriptor: SurgeryDescriptor) -> AbelianGroup:
-    """First homology of the surgered manifold."""
-    return quotient_group(AMBIENT_RANK, relation_classes(descriptor))
+    """First homology of the surgered manifold, read off its relation
+    shape."""
+    return shape_h1(relation_shape(descriptor))
 
 
-def relation_shape(descriptor: SurgeryDescriptor) -> tuple[int, ...]:
-    """The sorted pairs (|q_i k_i|, |s_i k_i|), flattened: everything the
-    first homology depends on.
+def _slot_pair(k: int, tau: SL2Z) -> tuple[int, int]:
+    return (abs(tau.q * k), abs(tau.s * k))
+
+
+def relation_shape(descriptor: SurgeryDescriptor) -> tuple[tuple[int, int], ...]:
+    """The sorted pairs (|q_i k_i|, |s_i k_i|): everything the first
+    homology depends on.
 
     Relation row i is q_i k_i e_2 + s_i k_i e_{w_i}, with every z-circle at
     coordinate 2 and the w-circles at distinct coordinates. Negating e_{w_i}
@@ -148,11 +150,41 @@ def relation_shape(descriptor: SurgeryDescriptor) -> tuple[int, ...]:
     permuting rows together with their w-coordinates permutes the pairs;
     each is an isomorphism of the quotient.
     """
-    pairs = sorted(
-        (abs(tau.q * k), abs(tau.s * k))
-        for k, tau in zip(descriptor.ks, descriptor.taus)
+    return tuple(sorted(map(_slot_pair, descriptor.ks, descriptor.taus)))
+
+
+def shape_h1(shape: Sequence[tuple[int, int]]) -> AbelianGroup:
+    """Z^6 modulo the rows a_i e_2 + b_i e_{w_i}, one per pair (a_i, b_i)
+    of a relation shape, by determinantal divisors (Smith's theorem).
+
+    D_j, the gcd of the j x j minors, is the gcd over the j-subsets S of
+    rows of prod_{i in S} b_i and of a_m prod_{i in S - m} b_i for m in S:
+    any other minor has a zero row or two rows on e_2 alone. Since
+    prod_S b = b_m prod_{S - m} b, D_j is the gcd of g_m prod_T b_i over
+    the rows m and the (j - 1)-subsets T of the other rows, where
+    g_m = gcd(a_m, b_m). Adding the rows one at a time, that gcd follows
+    the recurrence of elementary symmetric functions. The invariant
+    factors are D_j / D_{j-1}, up to the first D_j = 0.
+    """
+    # products[r]: gcd of the r-fold products of the b's added so far;
+    # divisors[j]: D_j of the rows added so far.
+    products = [1] + [0] * len(shape)
+    divisors = [0] * (len(shape) + 1)
+    for added, (a, b) in enumerate(shape, start=1):
+        g = math.gcd(a, b)
+        for j in range(added, 0, -1):
+            divisors[j] = math.gcd(
+                divisors[j], b * divisors[j - 1], g * products[j - 1]
+            )
+            products[j] = math.gcd(products[j], b * products[j - 1])
+    factors = []
+    previous = 1
+    for divisor in itertools.takewhile(bool, divisors[1:]):
+        factors.append(divisor // previous)
+        previous = divisor
+    return AbelianGroup(
+        AMBIENT_RANK - len(factors), tuple(d for d in factors if d > 1)
     )
-    return tuple(value for pair in pairs for value in pair)
 
 
 def min_product_b2(r: int) -> int:
@@ -221,7 +253,7 @@ def h1_invariants(group: AbelianGroup) -> tuple[int, int, int, bool, str]:
 
 def report(descriptor: SurgeryDescriptor) -> SurgeryReport:
     relations = relation_classes(descriptor)
-    group = quotient_group(AMBIENT_RANK, relations)
+    group = h1(descriptor)
     b1, bound_b2, bound_b3, kahler, status = h1_invariants(group)
     return SurgeryReport(
         descriptor=descriptor,
@@ -286,32 +318,86 @@ def sweep_descriptors(
             yield SurgeryDescriptor(tuple(full), taus)
 
 
-def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
-    """Group descriptors by their invariants in one pass, holding one entry
-    per class. Each class is represented by its lexicographically smallest
-    descriptor and classes come out in that order, so the result does not
-    depend on the input order.
+def _slot_table(
+    k_values: Iterable[int], tau_set: Sequence[SL2Z]
+) -> dict[tuple[int, int], list]:
+    """pair -> [number of (k, tau) in the slot's grid giving that pair,
+    smallest such (k, tau)]."""
+    table: dict[tuple[int, int], list] = {}
+    for k in k_values:
+        for tau in tau_set:
+            pair = _slot_pair(k, tau)
+            entry = table.get(pair)
+            if entry is None:
+                table[pair] = [1, (k, tau)]
+            else:
+                entry[0] += 1
+                entry[1] = min(entry[1], (k, tau))
+    return table
 
-    Every invariant of a report is a function of H1, and H1 a function of
-    the relation shape, so H1 is computed once per shape and each class's
-    invariants are read off the H1 that keys it.
+
+def _arrangements(multiset: Sequence) -> int:
+    """Distinct orderings of a sequence whose equal items are adjacent."""
+    runs = [len(list(run)) for _, run in itertools.groupby(multiset)]
+    return math.factorial(len(multiset)) // math.prod(map(math.factorial, runs))
+
+
+def sweep(
+    k_values: Sequence[int],
+    tau_set: Sequence[SL2Z],
+    slots: Sequence[int] | None = None,
+    base_ks: tuple[int, int, int, int] = (0, 0, 0, 0),
+) -> list[SweepClass]:
+    """Invariant classes of the grid that ``sweep_descriptors`` lists, with
+    each class's count and smallest descriptor, counted without building
+    the grid's descriptors. Classes come out in the order of those
+    descriptors.
+
+    H1 depends only on the multiset of slot pairs (|q k|, |s k|) (see
+    ``relation_shape``), so each slot's grid is reduced to a table
+    pair -> [count, smallest (k, tau)]. When the four tables are equal
+    (every slot ranges over the same grid), the sweep walks their
+    4-multisets: each stands for its number of distinct orderings times
+    the product of its counts of descriptors, and its smallest descriptor
+    holds its four slot minima in (k, tau) order, because descriptors order
+    by ``ks`` first and no slot can take a pair below that pair's smallest
+    k. Otherwise it walks the product of the four tables, whose cells
+    have the slot minima in slot order as their smallest descriptor. H1 is
+    computed once per multiset or cell, and one entry is held per class.
     """
-    shapes: dict[tuple[int, ...], AbelianGroup] = {}
+    varied = range(4) if slots is None else slots
+    tables = [
+        _slot_table(k_values if slot in varied else (base_ks[slot],), tau_set)
+        for slot in range(4)
+    ]
+    if all(table == tables[0] for table in tables):
+        # Entries in the order of their minima, so that every multiset
+        # lists its minima sorted.
+        entries = sorted(tables[0].items(), key=lambda item: item[1][1])
+        cells = (
+            (cell, _arrangements(cell))
+            for cell in itertools.combinations_with_replacement(entries, 4)
+        )
+    else:
+        cells = (
+            (cell, 1)
+            for cell in itertools.product(*(table.items() for table in tables))
+        )
     groups: dict[AbelianGroup, list] = {}
-    for descriptor in descriptors:
-        shape = relation_shape(descriptor)
-        group = shapes.get(shape)
-        if group is None:
-            group = shapes[shape] = h1(descriptor)
-        entry = groups.get(group)
-        if entry is None:
-            groups[group] = [descriptor, 1]
+    for cell, orderings in cells:
+        group = shape_h1([pair for pair, _ in cell])
+        count = orderings * math.prod(entry[0] for _, entry in cell)
+        # (ks, taus) of the cell's smallest descriptor
+        smallest = tuple(zip(*(entry[1] for _, entry in cell)))
+        held = groups.get(group)
+        if held is None:
+            groups[group] = [smallest, count]
         else:
-            entry[1] += 1
-            if descriptor < entry[0]:
-                entry[0] = descriptor
+            held[1] += count
+            if smallest < held[0]:
+                held[0] = smallest
     classes = []
-    for group, (descriptor, count) in sorted(
+    for group, ((ks, taus), count) in sorted(
         groups.items(), key=lambda item: item[1][0]
     ):
         b1, _, _, kahler, status = h1_invariants(group)
@@ -321,7 +407,7 @@ def sweep(descriptors: Iterable[SurgeryDescriptor]) -> list[SweepClass]:
                 b1=b1,
                 kahler_obstructed=kahler,
                 product_status=status,
-                representative=descriptor,
+                representative=SurgeryDescriptor(ks, taus),
                 count=count,
             )
         )

@@ -12,13 +12,10 @@ import random
 import subprocess
 import sys
 
-import pytest
-
 from torus_surgery.lattice import (
     AbelianGroup,
     complement_betti,
     CoordinateSubtorus,
-    COORDINATES,
     MINUS_ONE,
     embedding_catalog,
     find_dual_torus,

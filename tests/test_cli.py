@@ -324,7 +324,7 @@ class TestSweep:
         assert err.startswith("error: --base-k")
 
     def test_grid_over_the_limit_exits_before_running(self, capsys, monkeypatch):
-        def no_sweep(descriptors):
+        def no_sweep(*args, **kwargs):
             raise AssertionError("the sweep should not start")
 
         monkeypatch.setattr(cli.surgery, "sweep", no_sweep)

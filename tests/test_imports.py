@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
 A stdlib stand-in for an unused-import lint. Package ``__init__`` modules
 are skipped: their imports are the public re-exports.
@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "torus_surgery"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "torus_surgery"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def imported_names(tree):
@@ -44,9 +46,14 @@ def used_names(tree):
 
 def test_modules_found():
     assert len(MODULES) >= 6
+    assert Path(__file__).resolve() in TEST_MODULES
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)

@@ -5,15 +5,14 @@ import itertools
 import json
 import math
 import random
-import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torus_surgery import surgery
 
-from torus_surgery.lattice import AbelianGroup
+from torus_surgery.lattice import AbelianGroup, quotient_group
 from torus_surgery.surgery import (
     OBSTRUCTED,
     UNKNOWN,
@@ -26,6 +25,7 @@ from torus_surgery.surgery import (
     relation_classes,
     relation_shape,
     report,
+    shape_h1,
     sweep,
     sweep_descriptors,
 )
@@ -122,6 +122,20 @@ def oracle_sweep(descriptors):
     return [c[1:] for c in sorted(classes)]
 
 
+def count_calls(monkeypatch, name):
+    """Wrap ``surgery.<name>`` for the test and return the list of the
+    argument tuples it is called with."""
+    calls = []
+    original = getattr(surgery, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(surgery, name, wrapper)
+    return calls
+
+
 def random_sl2z(rng, bound=9):
     """Random word in the standard generators, rejected until all entries
     stay within the bound."""
@@ -216,7 +230,46 @@ class TestRelationClasses:
             )
 
 
+def random_descriptor(rng, k_bound=12):
+    return SurgeryDescriptor(
+        tuple(rng.randint(-k_bound, k_bound) for _ in range(4)),
+        tuple(random_sl2z(rng) for _ in range(4)),
+    )
+
+
 class TestFirstHomology:
+    def test_matches_minor_gcd_oracle(self):
+        rng = random.Random(61)
+        for _ in range(200):
+            descriptor = random_descriptor(rng)
+            rows = tuple(map(tuple, closed_form_relations(descriptor)))
+            assert h1(descriptor) == AbelianGroup(*minor_gcd_group(rows))
+
+    def test_matches_snf_quotient(self):
+        rng = random.Random(67)
+        for _ in range(1000):
+            descriptor = random_descriptor(rng)
+            assert h1(descriptor) == quotient_group(
+                6, relation_classes(descriptor)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=4
+        )
+    )
+    def test_shape_matches_minor_gcd_oracle(self, shape):
+        # Row i of the "arrow" matrix: a_i e_2 + b_i e_{w_i}, any pairs,
+        # zeros included, and fewer than four rows.
+        rows = []
+        for (a, b), w in zip(shape, W_COORDINATES):
+            row = [0] * 6
+            row[1] = a
+            row[w - 1] = b
+            rows.append(tuple(row))
+        assert shape_h1(shape) == AbelianGroup(*minor_gcd_group(tuple(rows)))
+
     def test_examples(self):
         assert h1(SurgeryDescriptor.plain(0, 5, 1, 1)) == AbelianGroup(3, (5,))
         assert h1(SurgeryDescriptor.plain(0, 0, 0, 0)) == AbelianGroup(6, ())
@@ -421,58 +474,48 @@ class TestRealize:
 
 class TestSweep:
     def test_binary_grid(self):
-        classes = sweep(
-            sweep_descriptors(range(0, 2), [SL2Z.identity()])
-        )
+        classes = sweep(range(0, 2), [SL2Z.identity()])
         by_rank = {c.b1: c.count for c in classes}
         assert by_rank == {6: 1, 5: 4, 4: 6, 3: 4, 2: 1}
         assert all(not c.h1.torsion for c in classes)
 
     def test_single_slot_family(self):
         classes = sweep(
-            sweep_descriptors(
-                range(2, 11),
-                [SL2Z.identity()],
-                slots=[0],
-                base_ks=(0, 1, 1, 1),
-            )
+            range(2, 11), [SL2Z.identity()], slots=[0], base_ks=(0, 1, 1, 1)
         )
         assert len(classes) == 9
         groups = {c.h1 for c in classes}
         assert groups == {AbelianGroup(2, (n,)) for n in range(2, 11)}
 
     def test_empty_tau_set(self):
-        assert sweep(sweep_descriptors(range(0, 2), [])) == []
+        assert sweep(range(0, 2), []) == []
+        assert sweep(range(0, 2), [], slots=[1], base_ks=(1, 2, 3, 4)) == []
 
     def test_deterministic_order(self):
-        descriptors = list(
-            sweep_descriptors(range(-1, 2), [SL2Z.identity(), SL2Z(1, 1, 0, 1)], slots=[0])
-        )
-        first = [c.to_json() for c in sweep(descriptors)]
-        second = [c.to_json() for c in sweep(reversed(descriptors))]
-        assert first == second
-
-    def test_holds_one_descriptor_per_class(self):
-        # Every descriptor with k = 0 lands in the class H1 = Z^6, whatever
-        # its twists. Feed them largest first, so the representative is
-        # replaced at every step, and count how many are still alive.
-        alive = []
-        peak = 0
-
-        def descriptors():
-            nonlocal peak
-            for q in range(499, -1, -1):
-                peak = max(peak, sum(ref() is not None for ref in alive))
-                descriptor = SurgeryDescriptor(
-                    (0, 0, 0, 0), (SL2Z(1, q, 0, 1),) + (SL2Z.identity(),) * 3
+        # The order in which k values, twists and varied slots are listed
+        # does not change the classes, their order or their representatives.
+        taus = [SL2Z.identity(), SL2Z(1, 1, 0, 1), SL2Z(2, 3, 1, 2)]
+        for slots in (None, [0], [2, 0]):
+            first = [c.to_json() for c in sweep(range(-1, 2), taus, slots=slots)]
+            second = [
+                c.to_json()
+                for c in sweep(
+                    range(1, -2, -1),
+                    taus[::-1],
+                    slots=None if slots is None else slots[::-1],
                 )
-                alive.append(weakref.ref(descriptor))
-                yield descriptor
+            ]
+            assert first == second
 
-        (only,) = sweep(descriptors())
-        assert only.count == 500
-        assert only.representative.taus[0] == SL2Z(1, 0, 0, 1)
-        assert peak <= 3
+    def test_holds_one_descriptor_per_class(self, monkeypatch):
+        # Every descriptor with k = 0 lands in the class H1 = Z^6, whatever
+        # its twists: 500^4 descriptors, one class, one descriptor built.
+        built = count_calls(monkeypatch, "SurgeryDescriptor")
+        taus = [SL2Z(1, q, 0, 1) for q in range(499, -1, -1)]
+        (only,) = sweep([0], taus)
+        assert only.count == 500**4
+        assert only.representative == SurgeryDescriptor.plain(0, 0, 0, 0)
+        assert len(built) == 1
 
 
 TWIST_POOL = (
@@ -486,21 +529,16 @@ TWIST_POOL = (
     SL2Z(2, 1, 1, 1),
 )
 
+# Twist lists may be empty and may list a twist twice; such a twist counts
+# twice, as it does in sweep_descriptors.
+twist_lists = st.lists(st.sampled_from(TWIST_POOL), max_size=3)
+
 small_grids = st.tuples(
     st.integers(-3, 2),
     st.integers(1, 3),
-    st.lists(st.sampled_from(TWIST_POOL), min_size=1, max_size=2, unique=True),
-    st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    twist_lists.filter(lambda taus: len(taus) < 3),
+    st.none() | st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
     st.tuples(*[st.integers(-4, 4)] * 4),
-)
-
-descriptor_lists = st.lists(
-    st.builds(
-        SurgeryDescriptor,
-        st.tuples(*[st.integers(-6, 6)] * 4),
-        st.tuples(*[st.sampled_from(TWIST_POOL)] * 4),
-    ),
-    max_size=40,
 )
 
 
@@ -515,44 +553,58 @@ def assert_matches_oracle(classes, descriptors):
 
 
 class TestSweepOracle:
-    """sweep against grouping by the closed-form relations' minor gcds."""
+    """sweep against grouping the descriptors that sweep_descriptors lists
+    by the closed-form relations' minor gcds."""
+
+    @staticmethod
+    def check(k_values, taus, slots=None, base_ks=(0, 0, 0, 0)):
+        descriptors = list(
+            sweep_descriptors(k_values, taus, slots=slots, base_ks=base_ks)
+        )
+        classes = sweep(k_values, taus, slots=slots, base_ks=base_ks)
+        assert_matches_oracle(classes, descriptors)
 
     @settings(max_examples=60, deadline=None)
     @given(grid=small_grids)
+    # one slot varied, the others held at non-zero k
+    @example(grid=(-2, 3, [TWIST_POOL[2], TWIST_POOL[5]], [2], (-2, 5, 0, 7)))
+    # a twist listed twice
+    @example(grid=(-1, 3, [TWIST_POOL[5], TWIST_POOL[5]], None, (0, 0, 0, 0)))
+    # no twists
+    @example(grid=(0, 2, [], [1], (1, 2, 3, 4)))
+    # a single k value
+    @example(grid=(-3, 1, [TWIST_POOL[1], TWIST_POOL[3]], None, (0, 0, 0, 0)))
     def test_small_grids(self, grid):
         k_min, k_count, taus, slots, base_ks = grid
-        descriptors = list(
-            sweep_descriptors(
-                range(k_min, k_min + k_count), taus, slots=slots, base_ks=base_ks
-            )
-        )
-        assert_matches_oracle(sweep(descriptors), descriptors)
+        self.check(range(k_min, k_min + k_count), taus, slots, base_ks)
 
-    @settings(max_examples=100, deadline=None)
-    @given(descriptors=descriptor_lists)
-    def test_descriptor_lists(self, descriptors):
-        assert_matches_oracle(sweep(descriptors), descriptors)
+    @settings(max_examples=25, deadline=None)
+    @given(k_min=st.integers(-4, 2), k_count=st.integers(1, 4), taus=twist_lists)
+    def test_full_grids(self, k_min, k_count, taus):
+        # Every slot varies: the sweep counts 4-multisets of slot pairs.
+        # At most six (k, tau) per slot keeps the oracle's grid small.
+        assume(k_count * len(taus) <= 6)
+        self.check(range(k_min, k_min + k_count), taus)
 
 
 class TestSweepShapeTable:
+    """The work a sweep does is bounded by its distinct relation shapes and
+    classes, not by its grid."""
+
+    # 3 k values and 3 twists per slot: 9^4 = 6561 descriptors.
     GRID = dict(k_values=range(-1, 2), tau_set=TWIST_POOL[:3])
-
-    def counting(self, monkeypatch, name):
-        calls = []
-        original = getattr(surgery, name)
-
-        def wrapper(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(surgery, name, wrapper)
-        return calls
 
     def test_h1_once_per_shape_and_no_report(self, monkeypatch):
         descriptors = list(sweep_descriptors(**self.GRID))
-        group_calls = self.counting(monkeypatch, "quotient_group")
-        report_calls = self.counting(monkeypatch, "report")
-        sweep(descriptors)
-        assert len(group_calls) == len({relation_shape(d) for d in descriptors})
-        assert len(group_calls) < len(descriptors) // 10
+        h1_calls = count_calls(monkeypatch, "shape_h1")
+        report_calls = count_calls(monkeypatch, "report")
+        sweep(**self.GRID)
+        assert len(h1_calls) == len({relation_shape(d) for d in descriptors})
+        assert len(h1_calls) < len(descriptors) // 10
         assert report_calls == []
+
+    def test_no_descriptor_per_grid_point(self, monkeypatch):
+        built = count_calls(monkeypatch, "SurgeryDescriptor")
+        classes = sweep(**self.GRID)
+        assert sum(c.count for c in classes) == 9**4
+        assert len(built) == len(classes) < 9**4 // 100
