@@ -61,6 +61,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # A real value equals its ``int`` or ``Fraction``, so it hashes alike.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other):
@@ -132,6 +135,9 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
+#: Exponent tuple of the constant monomial.
+_CONSTANT = (0,) * len(SYMBOLS)
+
 
 def _power(base, n: int, one):
     """``base ** n`` by square-and-multiply, starting from ``one``."""
@@ -141,8 +147,9 @@ def _power(base, n: int, one):
     while n:
         if n & 1:
             result = result * base
-        base = base * base
         n >>= 1
+        if n:
+            base = base * base
     return result
 
 
@@ -166,6 +173,15 @@ class Polynomial:
                     raise ValueError("exponent tuple does not match symbol list")
                 clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], GaussianRational]) -> "Polynomial":
+        """Wrap ``terms``, whose keys are exponent tuples of the right
+        length and whose values are ``GaussianRational``s, dropping zeros
+        but skipping the coercion and checks of ``__init__``."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -198,13 +214,13 @@ class Polynomial:
         other = Polynomial.coerce(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, ZERO) + coeff
-        return Polynomial(terms)
+            terms[exps] = terms[exps] + coeff if exps in terms else coeff
+        return Polynomial._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()})
+        return Polynomial._of({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-Polynomial.coerce(other))
@@ -214,17 +230,23 @@ class Polynomial:
 
     def __mul__(self, other):
         other = Polynomial.coerce(other)
+        factor = other._constant()
+        if factor is not None:
+            return self.scale(factor)
+        factor = self._constant()
+        if factor is not None:
+            return other.scale(factor)
         terms: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, ZERO) + c1 * c2
-        return Polynomial(terms)
+                terms[exps] = terms[exps] + c1 * c2 if exps in terms else c1 * c2
+        return Polynomial._of(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, Polynomial.constant(1))
+        return _power(self, n, _ONE)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -234,10 +256,24 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        # A constant equals its coefficient, so it hashes alike.
+        value = self._constant()
+        if value is not None:
+            return hash(value)
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _constant(self) -> GaussianRational | None:
+        """The value of a constant polynomial (``ZERO`` for zero); ``None``
+        when a symbol occurs."""
+        terms = self.terms
+        if not terms:
+            return ZERO
+        if len(terms) == 1:
+            return terms.get(_CONSTANT)
+        return None
 
     # -- structure --------------------------------------------------------
 
@@ -264,10 +300,12 @@ class Polynomial:
             tuple(e - c for e, c in zip(exps, content)): coeff
             for exps, coeff in self.terms.items()
         }
-        return Polynomial(terms)
+        return Polynomial._of(terms)
 
     def scale(self, factor: GaussianRational) -> "Polynomial":
-        return Polynomial({e: c * factor for e, c in self.terms.items()})
+        if factor == ONE:
+            return self
+        return Polynomial._of({e: c * factor for e, c in self.terms.items()})
 
     def derivative(self, name: str) -> "Polynomial":
         # Distinct monomials have distinct derivatives, so nothing collects.
@@ -336,8 +374,27 @@ class Polynomial:
 class RationalFunction:
     """Quotient of two polynomials, the coefficient field for forms.
 
-    Stored with the common monomial content of numerator and denominator
-    cancelled and the denominator's lex-leading coefficient normalized to 1.
+    Stored in normal form: the common monomial content of numerator and
+    denominator cancelled and the denominator's lex-leading coefficient
+    normalized to 1 (so zero is 0/1 and a constant's denominator is 1).
+    ``__init__`` brings any pair to this form, and normalising a pair already
+    in it changes nothing. So the operations whose result is already normal
+    skip the normalisation and build it with ``_of``:
+
+    - a constant or a polynomial is itself over 1;
+    - ``x + 0`` and ``0 + x`` return ``x``, and a sum of two polynomials is
+      their sum over 1;
+    - a product with a constant c is zero, ``x`` or ``(c*num)/den``, since
+      scaling by a nonzero c moves neither content nor the denominator;
+    - ``-x`` is ``(-num)/den``;
+    - ``x.power(n)`` for n >= 0 is ``num**n / den**n``: the monomial content
+      of a product is the sum of the factors' contents and its lex-leading
+      term is the product of theirs, so no content is shared and the leading
+      coefficient stays 1.
+
+    Each returns the pair that the general formula gives after
+    normalisation; ``tests/test_coefficients.py`` checks that it does.
+
     Equality is decided by cross-multiplication, so no multivariate gcd is
     ever needed.
     """
@@ -348,7 +405,7 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Polynomial.constant(1)
+            den = _ONE
         else:
             nc = num.monomial_content()
             dc = den.monomial_content()
@@ -364,6 +421,14 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _of(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a pair already in normal form, skipping ``__init__``."""
+        rf = object.__new__(cls)
+        object.__setattr__(rf, "num", num)
+        object.__setattr__(rf, "den", den)
+        return rf
+
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
@@ -371,11 +436,11 @@ class RationalFunction:
 
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls(Polynomial.zero(), Polynomial.constant(1))
+        return _ZERO
 
     @classmethod
     def constant(cls, value: GaussianRational | RationalLike) -> "RationalFunction":
-        return cls(Polynomial.constant(value), Polynomial.constant(1))
+        return cls.from_polynomial(Polynomial.constant(value))
 
     @classmethod
     def variable(cls, name: str) -> "RationalFunction":
@@ -383,7 +448,7 @@ class RationalFunction:
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial) -> "RationalFunction":
-        return cls(poly, Polynomial.constant(1))
+        return cls._of(poly, _ONE)
 
     # -- field structure --------------------------------------------------
 
@@ -397,6 +462,12 @@ class RationalFunction:
 
     def __add__(self, other):
         other = RationalFunction.coerce(other)
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
+        if self.den._constant() is not None and other.den._constant() is not None:
+            return RationalFunction._of(self.num + other.num, _ONE)
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -404,7 +475,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._of(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-RationalFunction.coerce(other))
@@ -413,7 +484,15 @@ class RationalFunction:
         return RationalFunction.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self._scale(GaussianRational.coerce(other))
         other = RationalFunction.coerce(other)
+        factor = other._constant()
+        if factor is not None:
+            return self._scale(factor)
+        factor = self._constant()
+        if factor is not None:
+            return other._scale(factor)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -430,7 +509,7 @@ class RationalFunction:
     def power(self, n: int) -> "RationalFunction":
         if n < 0:
             return RationalFunction(self.den, self.num).power(-n)
-        return RationalFunction(self.num**n, self.den**n)
+        return RationalFunction._of(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
@@ -447,6 +526,22 @@ class RationalFunction:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def _constant(self) -> GaussianRational | None:
+        """The value of a constant, or ``None``; a normal-form constant has
+        denominator 1."""
+        if self.den._constant() is None:
+            return None
+        return self.num._constant()
+
+    def _scale(self, factor: GaussianRational) -> "RationalFunction":
+        """``self`` times a constant: scaling the numerator by a nonzero
+        constant moves neither its monomial content nor the denominator."""
+        if not factor:
+            return _ZERO
+        if factor == ONE:
+            return self
+        return RationalFunction._of(self.num.scale(factor), self.den)
 
     def contains(self, name: str) -> bool:
         return self.num.contains(name) or self.den.contains(name)
@@ -477,9 +572,15 @@ class RationalFunction:
         return self.num.evaluate(assignment) / den
 
     def __str__(self) -> str:
-        if self.den == Polynomial.constant(1):
+        if self.den == _ONE:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
+
+
+#: The constant-1 denominator and the zero, shared by every result that
+#: needs them; like every value here they are never mutated.
+_ONE = Polynomial.constant(1)
+_ZERO = RationalFunction(Polynomial.zero(), _ONE)
 

@@ -99,7 +99,11 @@ class TestGaussianRationalOracle:
             with pytest.raises(ZeroDivisionError):
                 x / y
         assert (x == y) == ((a, b) == (c, d))
-        assert hash(x) == hash((a, b))
+        # Equal values hash equal: a real x equals the Fraction a.
+        if b == 0:
+            assert x == a and hash(x) == hash(a)
+        else:
+            assert x != a and hash(x) == hash((a, b))
 
     @settings(max_examples=200, deadline=None)
     @given(rationals(), rationals(), rationals())
@@ -299,3 +303,163 @@ class TestRationalFunction:
         r = RationalFunction(Polynomial.constant(1), x * x + y * y)
         with pytest.raises(ZeroDivisionError):
             r.evaluate({"x": 0, "y": 0})
+
+
+# -- the short cuts against the general formula -----------------------------
+#
+# The reference ring operations below build every polynomial through the
+# public constructor, and every quotient through the public, normalising
+# ``RationalFunction(num, den)``, so they share no short cut with the code
+# they check.
+
+
+def ref_poly(terms):
+    return Polynomial(terms)
+
+
+def ref_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, GaussianRational(0)) + c
+    return ref_poly(terms)
+
+
+def ref_neg(p):
+    return ref_poly({e: -c for e, c in p.terms.items()})
+
+
+def ref_mul(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, GaussianRational(0)) + c1 * c2
+    return ref_poly(terms)
+
+
+def ref_one():
+    return ref_poly({(0,) * len(SYMBOLS): GaussianRational(1)})
+
+
+def ref_rational(value):
+    """``value`` (a rational function or a scalar) as a normalised pair."""
+    if isinstance(value, RationalFunction):
+        return RationalFunction(value.num, value.den)
+    return RationalFunction(
+        ref_poly({(0,) * len(SYMBOLS): GaussianRational.coerce(value)}), ref_one()
+    )
+
+
+SPECIAL_SCALARS = (0, 1, -1, I, Fraction(1, 2))
+
+
+def rational_operands():
+    """Normal-form operands made by the public constructor: the special
+    constants, the symbol k, polynomials over 1 and general quotients."""
+    one = Polynomial.constant(1)
+    nonzero = polynomials().filter(lambda p: not p.is_zero())
+    return st.one_of(
+        st.sampled_from(SPECIAL_SCALARS).map(
+            lambda c: RationalFunction(Polynomial.constant(c), one)
+        ),
+        st.just(RationalFunction(Polynomial.variable("k"), one)),
+        polynomials().map(lambda p: RationalFunction(p, one)),
+        st.builds(RationalFunction, polynomials(), nonzero),
+    )
+
+
+def operands():
+    """Rational functions, and the scalars the forms layer multiplies by."""
+    return st.one_of(
+        rational_operands(),
+        st.sampled_from(SPECIAL_SCALARS),
+        gaussian_rationals(),
+    )
+
+
+def snapshot(value):
+    if isinstance(value, RationalFunction):
+        return dict(value.num.terms), dict(value.den.terms)
+    return value
+
+
+def assert_same_pair(got, want):
+    assert isinstance(got, RationalFunction)
+    assert got.num.terms == want.num.terms
+    assert got.den.terms == want.den.terms
+    assert str(got) == str(want)
+
+
+class TestShortCutsMatchGeneralFormula:
+    """Every operation returns exactly the normalised pair of the general
+    formula, and no operation changes an operand or a shared constant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_operands(), operands(), st.integers(min_value=-3, max_value=3))
+    def test_operations(self, a, b, n):
+        zero = RationalFunction.zero()
+        before = [snapshot(a), snapshot(b), snapshot(zero)]
+        ra, rb = ref_rational(a), ref_rational(b)
+        cross = ref_mul(ra.num, rb.den), ref_mul(rb.num, ra.den)
+        den = ref_mul(ra.den, rb.den)
+        assert_same_pair(a + b, RationalFunction(ref_add(*cross), den))
+        assert_same_pair(b + a, RationalFunction(ref_add(cross[1], cross[0]), den))
+        assert_same_pair(
+            a - b, RationalFunction(ref_add(cross[0], ref_neg(cross[1])), den)
+        )
+        product = RationalFunction(ref_mul(ra.num, rb.num), den)
+        assert_same_pair(a * b, product)
+        assert_same_pair(b * a, product)
+        assert_same_pair(-a, RationalFunction(ref_neg(ra.num), ra.den))
+        if rb.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        else:
+            assert_same_pair(
+                a / b, RationalFunction(ref_mul(ra.num, rb.den), ref_mul(ra.den, rb.num))
+            )
+        num, den = ref_one(), ref_one()
+        for _ in range(abs(n)):
+            num, den = ref_mul(num, ra.num), ref_mul(den, ra.den)
+        if n >= 0:
+            assert_same_pair(a.power(n), RationalFunction(num, den))
+        elif ra.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.power(n)
+        else:
+            assert_same_pair(a.power(n), RationalFunction(den, num))
+        if not isinstance(b, RationalFunction):
+            assert_same_pair(RationalFunction.constant(b), rb)
+        assert_same_pair(
+            RationalFunction.from_polynomial(a.num), RationalFunction(a.num, ref_one())
+        )
+        assert [snapshot(a), snapshot(b), snapshot(zero)] == before
+        assert zero.is_zero() and zero.den == 1
+
+    def test_zero_is_shared_and_stays_zero(self):
+        x = RationalFunction.variable("x")
+        total = RationalFunction.zero()
+        for _ in range(3):
+            total = total + x
+        assert RationalFunction.zero().num.terms == {}
+        assert RationalFunction.zero().den.terms == {(0,) * len(SYMBOLS): 1}
+        assert total == 3 * x
+
+
+class TestHashAgreesWithEquality:
+    @settings(max_examples=100, deadline=None)
+    @given(rationals())
+    def test_real_values(self, a):
+        for value in (GaussianRational(a), Polynomial.constant(a)):
+            assert value == a
+            assert hash(value) == hash(a)
+            assert len({value, a}) == 1
+
+    def test_non_real_constant_polynomial(self):
+        value = GaussianRational(Fraction(1, 2), -3)
+        assert Polynomial.constant(value) == value
+        assert hash(Polynomial.constant(value)) == hash(value)
+
+    def test_zero_polynomial(self):
+        assert Polynomial.zero() == 0
+        assert hash(Polynomial.zero()) == hash(0)
