@@ -2,33 +2,4 @@
 the 6-torus: symbolic verification of the underlying differential-form
 identities and integer homology of the resulting family of manifolds."""
 
-from .coefficients import GaussianRational, Polynomial, RationalFunction
-from .forms import CoframeMap, Form, LinearOperator, Region, compatibility_check
-from .lattice import (
-    AbelianGroup,
-    CoordinateSubtorus,
-    EmbeddedTorus,
-    Root8,
-    complement_betti,
-    find_dual_torus,
-    intersect,
-    lemma_matrix,
-    quotient_group,
-    snf,
-)
-from .surgery import (
-    SL2Z,
-    SurgeryDescriptor,
-    SurgeryReport,
-    h1,
-    min_product_b2,
-    product_obstruction,
-    realize,
-    relation_classes,
-    report,
-    sweep,
-    sweep_descriptors,
-)
-from .verification import check_lemma2, check_theorem5
-
 __version__ = "0.1.0"

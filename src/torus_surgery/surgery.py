@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 from .lattice import AbelianGroup, embedding_catalog
 
 AMBIENT_RANK = 6
-EULER_CHARACTERISTIC = 0
 
 OBSTRUCTED = "obstructed"
 UNKNOWN = "unknown"
@@ -211,19 +210,43 @@ def product_obstruction(b1: int, b2_upper: int) -> str:
     return UNKNOWN
 
 
+class _H1Invariants:
+    """The invariants that the first homology ``self.h1`` alone fixes."""
+
+    euler = 0  # that of the 6-torus, which torus surgery keeps
+
+    @property
+    def b1(self) -> int:
+        return self.h1.rank
+
+    @property
+    def bound_b2(self) -> int:
+        return 15 + self.b1
+
+    @property
+    def bound_b3(self) -> int:
+        # Euler characteristic zero: 0 = 2 - 2*b1 + 2*b2 - b3 <= 32 - b3.
+        return 2 - 2 * self.b1 + 2 * self.bound_b2
+
+    @property
+    def kahler_obstructed(self) -> bool:
+        return self.b1 % 2 == 1
+
+    @property
+    def product_status(self) -> str:
+        return product_obstruction(self.b1, self.bound_b2)
+
+
 @dataclass(frozen=True)
-class SurgeryReport:
+class SurgeryReport(_H1Invariants):
     """All invariants the construction pins down for one descriptor."""
 
     descriptor: SurgeryDescriptor
     h1: AbelianGroup
-    b1: int
-    bound_b2: int
-    bound_b3: int
-    euler: int
-    kahler_obstructed: bool
-    product_status: str
-    relations: tuple[tuple[int, ...], ...]
+
+    @property
+    def relations(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, relation_classes(self.descriptor)))
 
     def to_json(self) -> dict:
         return {
@@ -239,33 +262,8 @@ class SurgeryReport:
         }
 
 
-def h1_invariants(group: AbelianGroup) -> tuple[int, int, int, bool, str]:
-    """``(b1, bound_b2, bound_b3, kahler_obstructed, product_status)``, each
-    a function of the first homology alone."""
-    b1 = group.rank
-    bound_b2 = 15 + b1
-    # Euler characteristic zero: 0 = 2 - 2*b1 + 2*b2 - b3 <= 32 - b3.
-    bound_b3 = 2 - 2 * b1 + 2 * bound_b2
-    return (
-        b1, bound_b2, bound_b3, b1 % 2 == 1, product_obstruction(b1, bound_b2)
-    )
-
-
 def report(descriptor: SurgeryDescriptor) -> SurgeryReport:
-    relations = relation_classes(descriptor)
-    group = h1(descriptor)
-    b1, bound_b2, bound_b3, kahler, status = h1_invariants(group)
-    return SurgeryReport(
-        descriptor=descriptor,
-        h1=group,
-        b1=b1,
-        bound_b2=bound_b2,
-        bound_b3=bound_b3,
-        euler=EULER_CHARACTERISTIC,
-        kahler_obstructed=kahler,
-        product_status=status,
-        relations=tuple(tuple(row) for row in relations),
-    )
+    return SurgeryReport(descriptor, h1(descriptor))
 
 
 def realize(d1: int, d2: int, d3: int, d4: int) -> SurgeryDescriptor:
@@ -278,13 +276,10 @@ def realize(d1: int, d2: int, d3: int, d4: int) -> SurgeryDescriptor:
 
 
 @dataclass(frozen=True)
-class SweepClass:
+class SweepClass(_H1Invariants):
     """One isomorphism class found by a parameter sweep."""
 
     h1: AbelianGroup
-    b1: int
-    kahler_obstructed: bool
-    product_status: str
     representative: SurgeryDescriptor
     count: int
 
@@ -307,8 +302,6 @@ def sweep_descriptors(
 ) -> Iterable[SurgeryDescriptor]:
     """Grid of descriptors: the chosen slots range over k_values and every
     slot ranges over tau_set; the remaining k entries come from base_ks."""
-    if not tau_set:
-        return
     slots = tuple(slots) if slots is not None else (0, 1, 2, 3)
     for ks in itertools.product(k_values, repeat=len(slots)):
         full = list(base_ks)
@@ -396,19 +389,9 @@ def sweep(
             held[1] += count
             if smallest < held[0]:
                 held[0] = smallest
-    classes = []
-    for group, ((ks, taus), count) in sorted(
-        groups.items(), key=lambda item: item[1][0]
-    ):
-        b1, _, _, kahler, status = h1_invariants(group)
-        classes.append(
-            SweepClass(
-                h1=group,
-                b1=b1,
-                kahler_obstructed=kahler,
-                product_status=status,
-                representative=SurgeryDescriptor(ks, taus),
-                count=count,
-            )
+    return [
+        SweepClass(group, SurgeryDescriptor(ks, taus), count)
+        for group, ((ks, taus), count) in sorted(
+            groups.items(), key=lambda item: item[1][0]
         )
-    return classes
+    ]

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -386,13 +389,50 @@ class TestSweepGolden:
             ),
         ],
     )
-    def test_golden_output(self, capsys, name, argv):
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+    def test_golden_output(self, capsys, tmp_path, name, argv, to_file):
+        path = tmp_path / "classes.jsonl"
         code, out, err = run(
-            capsys, "sweep", *argv, "--tau-file", str(GOLDEN / "sweep_taus.json")
+            capsys, "sweep", *argv, "--tau-file", str(GOLDEN / "sweep_taus.json"),
+            *(("--out", str(path)) if to_file else ()),
         )
         assert code == 0
-        assert out == (GOLDEN / f"{name}.stdout").read_text()
+        expected = (GOLDEN / f"{name}.stdout").read_bytes()
+        if to_file:
+            assert out == ""
+            assert path.read_bytes() == expected
+        else:
+            assert out.encode() == expected
         assert err == (GOLDEN / f"{name}.stderr").read_text()
+
+
+class TestClosedStdout:
+    """A stdout whose reader is gone exits 2 with one error line, for a
+    command that prints little and for one that streams its output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("lemma6",), ("h1", "--k=1,2,3,4"), ("sweep", "--k-min", "0", "--k-max", "3")],
+        ids=" ".join,
+    )
+    def test_exits_two(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        # Block-buffered, as in a shell pipe, so output waits for a flush.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "torus_surgery.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write stdout: ")
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
 
 
 class TestDeterminism:

@@ -1,7 +1,6 @@
 """Every name a library or test module imports is used in that module.
 
-A stdlib stand-in for an unused-import lint. Package ``__init__`` modules
-are skipped: their imports are the public re-exports.
+A stdlib stand-in for an unused-import lint.
 """
 
 import ast
@@ -11,7 +10,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "torus_surgery"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 

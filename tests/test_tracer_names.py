@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from torus_surgery import surgery
 from torus_surgery.forms import Region, compatibility_check
 from torus_surgery.verification import (
     almost_complex_structure,
@@ -48,3 +49,23 @@ def test_compatibility_report_has_integer_sample_count():
         almost_complex_structure(0), standard_symplectic_form(), Region.INNER
     )
     assert isinstance(report.sample_count, int)
+
+
+def test_report_relations_and_sweep_counts_suit_the_hooks():
+    # The report hook keeps report.relations in a set, and the sweep hook
+    # sums SweepClass.count. No traced workload calls report, so only this
+    # test would see a relations value that cannot be hashed.
+    shear, swap = surgery.SL2Z(1, 1, 0, 1), surgery.SL2Z(0, -1, 1, 0)
+    descriptor = surgery.SurgeryDescriptor(
+        (1, -2, 3, 4), (shear, surgery.SL2Z(2, 3, 1, 2), swap, shear)
+    )
+    relations = surgery.report(descriptor).relations
+    hash(relations)
+    assert isinstance(relations, tuple)
+    assert len(relations) == 4
+    for row, expected in zip(relations, surgery.relation_classes(descriptor)):
+        assert isinstance(row, tuple)
+        assert list(row) == expected
+    classes = surgery.sweep(range(-1, 2), [surgery.SL2Z.identity(), shear])
+    assert classes
+    assert all(type(c.count) is int for c in classes)
