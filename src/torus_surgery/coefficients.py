@@ -20,7 +20,7 @@ RationalLike = Union[int, Fraction]
 
 
 class GaussianRational:
-    """A number a + b*i with exact rational a, b.
+    """A number a + b*i with exact parts a, b, each an ``int`` or a ``Fraction``.
 
     Each part is held as an ``int`` when it is integral and as a
     ``Fraction`` only when it is not, so every value has one form and
@@ -31,13 +31,13 @@ class GaussianRational:
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         if type(re) is not int:
-            re = Fraction(re)
-            if re.denominator == 1:
-                re = re.numerator
+            if not isinstance(re, (int, Fraction)):
+                raise TypeError(f"real part {re!r} is not an int or a Fraction")
+            re = re.numerator if re.denominator == 1 else re
         if type(im) is not int:
-            im = Fraction(im)
-            if im.denominator == 1:
-                im = im.numerator
+            if not isinstance(im, (int, Fraction)):
+                raise TypeError(f"imaginary part {im!r} is not an int or a Fraction")
+            im = im.numerator if im.denominator == 1 else im
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -169,8 +169,8 @@ class Polynomial:
                 coeff = GaussianRational.coerce(coeff)
                 if not coeff:
                     continue
-                if len(exps) != len(SYMBOLS):
-                    raise ValueError("exponent tuple does not match symbol list")
+                if len(exps) != len(SYMBOLS) or any(type(e) is not int or e < 0 for e in exps):
+                    raise ValueError(f"exponents {exps} are not one int >= 0 per symbol")
                 clean[tuple(exps)] = coeff
         object.__setattr__(self, "terms", clean)
 

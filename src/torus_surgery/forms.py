@@ -274,9 +274,8 @@ def _pivot_steps(a):
     per pivot as soon as it is made: the row the pivot was found in before
     the swap, its column, and its value before its row is scaled to 1. Each
     column's pivot is the first nonzero entry at or below the current row;
-    a column with none is skipped. A caller that stops early skips the rest
-    of the elimination. Inverse, determinant and leading minors are all
-    read off these records.
+    a column with none is skipped. Inverse and determinant are read off
+    these records.
     """
     top = 0
     for col in range(len(a[0]) if a else 0):
@@ -479,9 +478,9 @@ def compatibility_check(
     Any U is sound: if h is positive definite, U is invertible and g is
     positive definite too. A good U (the inverse of a twist) turns g into a
     matrix whose minors are certifiable. Every entry of h must have real
-    coefficients, and each leading principal minor of h must have a
-    numerator and denominator that pass ``certified_positive``. The rule is
-    sufficient, not necessary: whatever it cannot certify is a failure.
+    coefficients, and each leading principal minor of h needs a positive
+    multiple whose numerator and denominator pass ``certified_positive``.
+    The rule is sufficient, not necessary: what it cannot certify fails.
     """
     op = operator.in_region(region)
     om = omega.in_region(region)
@@ -498,23 +497,24 @@ def compatibility_check(
 
 
 def _positivity_failures(h: list[list[RationalFunction]]) -> list[str]:
+    """Sylvester's criterion by a division-free forward pass that stops at
+    the first failure. Step m certifies the pivot p = a[m-1][m-1] and sets
+    each row r below m to p*row_r - a[r][m-1]*row_m. Each such scaling
+    multiplies later leading minors by an already certified pivot, so p_m
+    is a positive multiple of minor m of h, and 0 exactly when it is."""
     for i, row in enumerate(h):
         for j, entry in enumerate(row):
             for coeff in (*entry.num.terms.values(), *entry.den.terms.values()):
                 if not coeff.is_real():
                     return [f"entry [{i}][{j}] is not real: {entry}"]
-    # While every pivot so far sits on the diagonal, the leading minor of
-    # size m is the product of the first m pivots; the first pivot off the
-    # diagonal (or missing) means that minor is identically 0. The
-    # elimination stops at the first minor that fails, so a matrix whose
-    # minors swell is not reduced further than needed.
-    minor = RationalFunction.constant(1)
-    steps = _pivot_steps([list(row) for row in h])
-    for m in range(1, len(h) + 1):
-        found, col, value = next(steps, (None, None, None))
-        if (found, col) != (m - 1, m - 1):
+    a = [list(row) for row in h]
+    for m in range(1, len(a) + 1):
+        p = a[m - 1][m - 1]
+        if not p:
             return [f"minor {m} is identically 0"]
-        minor = minor * value
-        if not (certified_positive(minor.num) and certified_positive(minor.den)):
-            return [f"minor {m} not certified: {minor}"]
+        if not (certified_positive(p.num) and certified_positive(p.den)):
+            return [f"minor {m} not certified: {p}"]
+        for r in range(m, len(a)):
+            if c := a[r][m - 1]:
+                a[r] = [p * v - c * w for v, w in zip(a[r], a[m - 1])]
     return []

@@ -223,7 +223,8 @@ class TestVerifyForms:
         "name, k, tau",
         [
             ("verify_forms_symbolic_tau", "symbolic", "2,3,1,2"),
-            # concrete k: residuals with non-integral coefficients
+            # concrete k: residuals with k's value folded into integer
+            # coefficients, and the positivity control's reduced minor
             ("verify_forms_concrete_tau", "-7", "13,8,21,13"),
         ],
         ids=["symbolic", "concrete"],

@@ -1,5 +1,6 @@
 """Ring and field laws for the exact coefficient arithmetic."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,40 @@ class TestGaussianRationalCanonicalForm:
     )
     def test_str(self, value, text):
         assert str(value) == text
+
+
+class TestOnlyExactInputs:
+    """Only ints and Fractions enter the tower, as ``GaussianRational(1) +
+    0.5`` already required; anything else is refused, not converted."""
+
+    @pytest.mark.parametrize("value", [0.1, 0.5, "3/4", Decimal("0.25")], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            GaussianRational,
+            lambda v: GaussianRational(0, v),
+            Polynomial.constant,
+            lambda v: Polynomial({(0,) * len(SYMBOLS): v}),
+            RationalFunction.coerce,
+            Form.function,
+            lambda v: Form.from_terms((v, "dx")),
+        ],
+        ids=["re", "im", "constant", "terms", "coerce", "function", "from_terms"],
+    )
+    def test_inexact_part_rejected(self, build, value):
+        with pytest.raises(TypeError):
+            build(value)
+
+    @pytest.mark.parametrize(
+        "exps", [(-1, 0, 0, 0), (0.5, 0, 0, 0), (0, "2", 0, 0), (1, 0, 0)], ids=repr
+    )
+    def test_exponents_are_nonnegative_ints_one_per_symbol(self, exps):
+        with pytest.raises(ValueError):
+            Polynomial({exps: 1})
+
+    def test_exact_parts_accepted(self):
+        assert GaussianRational(Fraction(3, 4), Fraction(-6, 3)).im == -2
+        assert str(Polynomial({(0, 2, 0, 0): Fraction(1, 2)})) == "1/2*y^2"
 
 
 class TestPolynomial:

@@ -29,6 +29,7 @@ from torus_surgery.forms import (
     mat_mul,
     mat_neg,
     operator_pullback,
+    _positivity_failures,
 )
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
@@ -40,7 +41,7 @@ from torus_surgery.verification import (
     twist_coframe,
 )
 
-from matrix_oracles import int_determinant, small_matrices
+from matrix_oracles import int_determinant, int_mat_mul, small_matrices
 
 
 def is_almost_complex(operator):
@@ -475,6 +476,45 @@ class TestCompatibility:
         rep = compatibility_check(j, omega, Region.MIDDLE, basis=basis)
         assert rep.positivity_failures
         assert rep.positivity_failures[0].startswith("entry [0][1] is not real")
+
+
+@st.composite
+def sylvester_matrices(draw):
+    """Constant integer matrices of size 1-6: Gram matrices B B^T, positive
+    semidefinite and singular exactly when B is, or general ones, often
+    unsymmetric. Small entries make zero and negative leading minors common."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    b = [[draw(st.integers(min_value=-2, max_value=2)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        return int_mat_mul(b, [list(col) for col in zip(*b)])
+    return b
+
+
+class TestSylvesterOracle:
+    """The certificate's verdict on constant matrices against Sylvester's
+    criterion, each leading minor taken by cofactor expansion: no failure
+    if and only if every minor is positive, else the first failing minor,
+    "identically 0" exactly when that minor is 0."""
+
+    @given(sylvester_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_first_failing_leading_minor(self, matrix):
+        minors = [
+            int_determinant([row[:m] for row in matrix[:m]])
+            for m in range(1, len(matrix) + 1)
+        ]
+        failures = _positivity_failures(_constant_matrix(matrix))
+        bad = next((m for m, d in enumerate(minors, 1) if d <= 0), None)
+        if bad is None:
+            assert failures == []
+        elif minors[bad - 1] == 0:
+            assert failures == [f"minor {bad} is identically 0"]
+        else:
+            [failure] = failures
+            head, pivot = failure.split(": ")
+            assert head == f"minor {bad} not certified"
+            # A constant pivot is a positive multiple of a negative minor.
+            assert int(pivot) < 0
 
 
 # -- the positivity certificate: positive constant term, positive real

@@ -4,6 +4,8 @@ import functools
 import json
 from fractions import Fraction
 
+import pytest
+
 from torus_surgery.coefficients import GaussianRational, Polynomial, RationalFunction
 from torus_surgery.forms import (
     Form,
@@ -74,8 +76,7 @@ DROPPED_QUADRATIC_POSITIVITY_RESIDUAL = (
 # The certificate's residual for the same control: the second leading minor
 # has negative coefficients (it is negative at 12 of the 56 samples above).
 DROPPED_QUADRATIC_CERTIFICATE_RESIDUAL = (
-    "minor 2 not certified: (1 + 2*y^2*k^2*f^2 + y^4*k^4*f^4"
-    " + -1*x^2*y^2*k^4*f^4 + -1*x^2*y^4*k^6*f^6)/(1 + y^2*k^2*f^2)"
+    "minor 2 not certified: 1 + y^2*k^2*f^2 + -1*x^2*y^2*k^4*f^4"
 )
 
 
@@ -274,6 +275,55 @@ class TestCanonicalClassVanishing:
         )
         assert not positivity.passed
         assert positivity.residual == DROPPED_QUADRATIC_CERTIFICATE_RESIDUAL
+
+
+class TestDroppedQuadraticMinor:
+    """The control's claim (b) detail is a positive multiple of the second
+    leading minor of its metric. Pinned before as the unreduced product of
+    Gauss-Jordan pivots, it is now the pivot of the division-free pass; the
+    two are the same rational function."""
+
+    LABEL = "(b) metric positive definite (certified leading minors)"
+
+    @staticmethod
+    def _old_and_new(k):
+        """The old pinned minor, (1 + 2a + a^2 - b - a*b)/(1 + a) in normal
+        form (monic denominator, so 1/49 for k = -7), and the new 1 + a - b."""
+        x, y, f = (Polynomial.variable(s) for s in ("x", "y", "f"))
+        kk = Polynomial.variable("k") if k == "symbolic" else k
+        a = y**2 * kk**2 * f**2
+        b = x**2 * y**2 * kk**4 * f**4
+        old = RationalFunction(1 + 2 * a + a * a - b - a * b, 1 + a)
+        return old, RationalFunction.from_polynomial(1 + a - b)
+
+    def test_old_pins_print_as_before(self):
+        old, _ = self._old_and_new("symbolic")
+        assert str(old) == (
+            "(1 + 2*y^2*k^2*f^2 + y^4*k^4*f^4 + -1*x^2*y^2*k^4*f^4"
+            " + -1*x^2*y^4*k^6*f^6)/(1 + y^2*k^2*f^2)"
+        )
+        old, _ = self._old_and_new(-7)
+        assert str(old) == (
+            "(1/49 + 2*y^2*f^2 + 49*y^4*f^4 + -49*x^2*y^2*f^4"
+            " + -2401*x^2*y^4*f^6)/(1/49 + y^2*f^2)"
+        )
+
+    @pytest.mark.parametrize("k", ["symbolic", -7])
+    def test_new_detail_equals_old_minor(self, k):
+        old, new = self._old_and_new(k)
+        assert old == new
+        rep = check_theorem5(k, drop_quadratic_term=True)
+        claim = next(c for c in rep.claims if c.label == self.LABEL)
+        assert not claim.passed
+        assert claim.residual == f"minor 2 not certified: {new}"
+
+    def test_minor_is_the_second_leading_minor(self):
+        # Independently of the pass: the cofactor determinant of the
+        # metric's leading 2-block is the pinned minor.
+        metric = twisted_metric("symbolic", SL2Z.identity(), drop_quadratic_term=True)
+        _, new = self._old_and_new("symbolic")
+        block = [row[:2] for row in metric[:2]]
+        assert block[0][0] * block[1][1] - block[0][1] * block[1][0] == new
 
 
 # The shear, the rotation and an asymmetric twist.
