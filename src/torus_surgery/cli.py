@@ -197,13 +197,17 @@ def _load_tau_file(path: str | None) -> list[surgery.SL2Z]:
         raise InputError(f"bad tau file {path}: {exc}")
     if not isinstance(data, list):
         raise InputError(f"bad tau file {path}: expected a JSON list of matrices")
-    taus = []
+    # A repeated twist would count each of its descriptors more than once.
+    first_index: dict[surgery.SL2Z, int] = {}
     for index, entry in enumerate(data):
         try:
-            taus.append(surgery.SL2Z.from_json(entry))
+            tau = surgery.SL2Z.from_json(entry)
         except (ValueError, TypeError) as exc:
             raise InputError(f"tau entry {index}: {exc}")
-    return taus
+        if tau in first_index:
+            raise InputError(f"tau entry {index} repeats entry {first_index[tau]}")
+        first_index[tau] = index
+    return list(first_index)
 
 
 def cmd_sweep(args) -> int:

@@ -465,22 +465,16 @@ class CompatibilityReport:
 
 
 def compatibility_check(
-    operator: LinearOperator,
-    omega: Form,
-    region: Region,
-    basis: list[list[RationalFunction]] | None = None,
+    operator: LinearOperator, omega: Form, region: Region
 ) -> CompatibilityReport:
     """Check omega(J., J.) = omega and that g = omega(., J.) is a symmetric
     pairing, positive definite for every real value of the symbols.
 
     The operator on vector fields dual to the coframe action A is A^T.
-    Positivity is read from h = U g U^T for the optional change of basis U.
-    Any U is sound: if h is positive definite, U is invertible and g is
-    positive definite too. A good U (the inverse of a twist) turns g into a
-    matrix whose minors are certifiable. Every entry of h must have real
-    coefficients, and each leading principal minor of h needs a positive
-    multiple whose numerator and denominator pass ``certified_positive``.
-    The rule is sufficient, not necessary: what it cannot certify fails.
+    Every entry of g must have real coefficients, and each leading
+    principal minor of g needs a positive multiple whose numerator and
+    denominator pass ``certified_positive``. The rule is sufficient, not
+    necessary: what it cannot certify fails.
     """
     op = operator.in_region(region)
     om = omega.in_region(region)
@@ -490,10 +484,7 @@ def compatibility_check(
     lhs = mat_mul(mat_transpose(j_vec), metric)
     invariant = mat_equal(lhs, big_omega)
     symmetric = mat_equal(metric, mat_transpose(metric))
-    h = metric
-    if basis is not None:
-        h = mat_mul(basis, mat_mul(metric, mat_transpose(basis)))
-    return CompatibilityReport(invariant, symmetric, _positivity_failures(h))
+    return CompatibilityReport(invariant, symmetric, _positivity_failures(metric))
 
 
 def _positivity_failures(h: list[list[RationalFunction]]) -> list[str]:

@@ -28,7 +28,6 @@ from torus_surgery.lattice import (
 from torus_surgery.surgery import (
     OBSTRUCTED,
     UNKNOWN,
-    SL2Z,
     SurgeryDescriptor,
     h1,
     min_product_b2,
@@ -48,6 +47,7 @@ from matrix_oracles import (
     int_mat_mul,
     minor_gcd_invariant_factors,
 )
+from twisted_oracle import criterion6_twists, direct_theorem5, random_sl2z, verdicts
 
 
 def announce(number, label, passed):
@@ -74,17 +74,6 @@ def normal_form_of_cyclic_sum(orders):
                     values[i], values[j] = g, l
                     changed = True
     return (values.count(0), tuple(sorted(v for v in values if v > 1)))
-
-
-def random_sl2z(rng, bound=9):
-    shear = SL2Z(1, 1, 0, 1)
-    rot = SL2Z(0, -1, 1, 0)
-    while True:
-        result = SL2Z.identity()
-        for _ in range(rng.randint(0, 6)):
-            result = result @ rng.choice([shear, shear.inverse(), rot])
-        if max(abs(v) for v in (result.p, result.q, result.r, result.s)) <= bound:
-            return result
 
 
 W_COORDINATES = (3, 4, 5, 6)
@@ -188,12 +177,13 @@ def test_criterion_05_symbolic_interpolation():
 
 
 def test_criterion_06_symbolic_structure():
-    """check_theorem5 with symbolic k: identity twist plus 20 random ones."""
-    rng = random.Random(5)
-    ok = check_theorem5("symbolic").passed
-    for _ in range(20):
-        tau = random_sl2z(rng)
-        ok = ok and check_theorem5("symbolic", tau).passed
+    """check_theorem5 with symbolic k: identity twist plus 20 random ones,
+    each with the labels and verdicts of the direct twisted computation."""
+    ok = True
+    for tau in criterion6_twists():
+        rep = check_theorem5("symbolic", tau)
+        direct = direct_theorem5("symbolic", tau)
+        ok = ok and rep.passed and verdicts(rep) == verdicts(direct)
     announce(6, "symbolic structure checks under 21 twists", ok)
 
 

@@ -167,6 +167,16 @@ class TestStrictDescriptorInput:
         assert err.startswith(f"error: bad tau file {path}: ")
         assert "Traceback" not in err
 
+    def test_repeated_tau_rejected(self, capsys, tmp_path):
+        # A repeat would count every descriptor through it again.
+        path = tmp_path / "taus.json"
+        path.write_text(json.dumps([[[1, 0], [0, 1]], [[1, 0], [0, 1]]]))
+        code, out, err = run(
+            capsys, "sweep", "--k-min", "0", "--k-max", "0",
+            "--tau-file", str(path),
+        )
+        assert (code, out, err) == (2, "", "error: tau entry 1 repeats entry 0\n")
+
 
 class TestReportAndRealize:
     def test_report_prints_relations(self, capsys):

@@ -28,6 +28,7 @@ from torus_surgery.forms import (
     mat_inverse,
     mat_mul,
     mat_neg,
+    mat_transpose,
     operator_pullback,
     _positivity_failures,
 )
@@ -42,6 +43,7 @@ from torus_surgery.verification import (
 )
 
 from matrix_oracles import int_determinant, int_mat_mul, small_matrices
+from twisted_oracle import metric
 
 
 def is_almost_complex(operator):
@@ -435,47 +437,48 @@ class TestCompatibility:
         assert not rep.passed
         assert rep.positivity_failures == ["minor 1 is identically 0"]
 
-    def _twisted(self, tau):
+    def test_twisted_metric_needs_the_untwisting_basis(self):
+        # The twisted metric's first minor has an odd monomial, so it is not
+        # certified; this is why check_theorem5 certifies positivity in
+        # untwisted coordinates.
+        tau = SL2Z(2, 3, 1, 2)
         twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
         j = almost_complex_structure("symbolic").conjugate_by(twist, twist_inv)
-        return j, twist.pullback(interpolated_form("symbolic")), twist_inv
-
-    def test_twisted_metric_needs_the_untwisting_basis(self):
-        j, omega, twist_inv = self._twisted(SL2Z(2, 3, 1, 2))
+        omega = twist.pullback(interpolated_form("symbolic"))
         bare = compatibility_check(j, omega, Region.MIDDLE)
         assert bare.invariant and bare.symmetric
         assert bare.positivity_failures == [
             "minor 1 not certified: 5 + 4*y^2*k^2*f^2 + -4*x*y*k^2*f^2 + x^2*k^2*f^2"
         ]
-        assert compatibility_check(
-            j, omega, Region.MIDDLE, basis=twist_inv.matrix
-        ).passed
+
+    @staticmethod
+    def _congruent_metric(u):
+        """U g U^T for the untwisted metric g, f abstract."""
+        g = metric(almost_complex_structure("symbolic"), interpolated_form("symbolic"))
+        return mat_mul(u, mat_mul(g, mat_transpose(u)))
 
     def test_singular_basis_fails(self):
-        j, omega, _ = self._twisted(SL2Z.identity())
         basis = mat_identity(6)
         basis[5] = basis[4]
-        rep = compatibility_check(j, omega, Region.MIDDLE, basis=basis)
-        assert rep.positivity_failures == ["minor 6 is identically 0"]
+        assert _positivity_failures(self._congruent_metric(basis)) == [
+            "minor 6 is identically 0"
+        ]
 
     def test_uncertified_denominator_fails(self):
         # h[0][0] = g[0][0]/(1 + x)^2 is positive wherever it is defined,
         # but its denominator has an odd monomial, so it is not certified.
-        j, omega, _ = self._twisted(SL2Z.identity())
         basis = mat_identity(6)
         basis[0][0] = 1 / (1 + RationalFunction.variable("x"))
-        rep = compatibility_check(j, omega, Region.MIDDLE, basis=basis)
-        assert rep.positivity_failures == [
+        assert _positivity_failures(self._congruent_metric(basis)) == [
             "minor 1 not certified: (1 + y^2*k^2*f^2)/(1 + 2*x + x^2)"
         ]
 
     def test_non_real_entry_fails(self):
-        j, omega, _ = self._twisted(SL2Z.identity())
         basis = mat_identity(6)
         basis[1][1] = RationalFunction.constant(I)
-        rep = compatibility_check(j, omega, Region.MIDDLE, basis=basis)
-        assert rep.positivity_failures
-        assert rep.positivity_failures[0].startswith("entry [0][1] is not real")
+        failures = _positivity_failures(self._congruent_metric(basis))
+        assert failures
+        assert failures[0].startswith("entry [0][1] is not real")
 
 
 @st.composite

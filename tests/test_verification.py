@@ -5,19 +5,19 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_surgery.coefficients import GaussianRational, Polynomial, RationalFunction
 from torus_surgery.forms import (
     Form,
+    LinearOperator,
     Region,
     compose,
     mat_determinant,
     mat_equal,
     mat_identity,
     mat_inverse,
-    mat_mul,
-    mat_transpose,
-    omega_matrix,
 )
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
@@ -36,6 +36,8 @@ from torus_surgery.verification import (
     unit_scale,
     almost_complex_structure,
 )
+
+from twisted_oracle import criterion6_twists, direct_theorem5, twisted_metric, verdicts
 
 
 # The residual the sampled positivity claim gave for the dropped-quadratic-
@@ -125,15 +127,6 @@ def cofactor_determinant(matrix):
         return total
 
     return det(tuple(range(n)))
-
-
-def twisted_metric(k, tau, drop_quadratic_term=False):
-    """g = omega(., J.) as check_theorem5 builds it, before any change of
-    basis: the twisted structure against the twisted form, f abstract."""
-    twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
-    j = almost_complex_structure(k, drop_quadratic_term).conjugate_by(twist, twist_inv)
-    omega = twist.pullback(interpolated_form(k))
-    return mat_mul(omega_matrix(omega), mat_transpose(j.matrix))
 
 
 def sampled_positivity_residual(metric, samples):
@@ -350,8 +343,8 @@ class TestUnimodularCoframeMaps:
             )
 
     def test_twisted_gluing_inverse_conjugates_the_untwisted_inverse(self):
-        # check_theorem5 inverts the twisted gluing map as the composite
-        # around the inverse of the untwisted map.
+        # The direct twisted oracle inverts the twisted gluing map as the
+        # composite around the inverse of the untwisted map.
         phi = gluing_map("symbolic")
         for tau in (SL2Z(2, 3, 1, 2), SL2Z(0, -1, 1, 0)):
             twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
@@ -378,6 +371,118 @@ class TestGluingInverse:
             assert mat_equal(
                 gluing_map_inverse(k).matrix, mat_inverse(gluing_map(k).matrix)
             )
+
+
+# -- the naturality reduction of check_theorem5 ------------------------------
+
+
+def _monomial(c, ex, ey, ef, ek, over_radius):
+    x, y, f, k = (RationalFunction.variable(s) for s in ("x", "y", "f", "k"))
+    value = c * x.power(ex) * y.power(ey) * f.power(ef) * k.power(ek)
+    return value / (x * x + y * y) if over_radius else value
+
+
+# Small monomials in x, y, f and k, some over x^2 + y^2, so that a region
+# substitution of f changes them.
+COEFFICIENTS = st.builds(
+    _monomial,
+    st.integers(min_value=-3, max_value=3).filter(bool),
+    *[st.integers(min_value=0, max_value=2)] * 4,
+    st.booleans(),
+)
+KEYS = st.sets(st.integers(min_value=0, max_value=5), max_size=3).map(
+    lambda s: tuple(sorted(s))
+)
+FORMS = st.dictionaries(KEYS, COEFFICIENTS, max_size=3).map(Form)
+ONE_FORMS = st.dictionaries(
+    st.integers(min_value=0, max_value=5).map(lambda i: (i,)), COEFFICIENTS, max_size=3
+).map(Form)
+
+
+def _sparse_operator(entries):
+    matrix = mat_identity(6)
+    for (i, j), value in entries.items():
+        matrix[i][j] = value
+    return LinearOperator(matrix)
+
+
+OPERATORS = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=5)] * 2), COEFFICIENTS, max_size=6
+).map(_sparse_operator)
+GENERATORS_OF_SL2Z = (SL2Z(1, 1, 0, 1), SL2Z(1, -1, 0, 1), SL2Z(0, -1, 1, 0))
+TAUS = st.lists(st.sampled_from(GENERATORS_OF_SL2Z), max_size=6).map(
+    lambda word: functools.reduce(lambda a, b: a @ b, word, SL2Z.identity())
+)
+
+
+class TestTwistNaturality:
+    """The lemma behind check_theorem5's reduction: the pullback T* of a
+    twist commutes with the operations its claims are built from, and
+    fixes omega."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(TAUS, FORMS, FORMS)
+    def test_pullback_commutes_with_wedge_sum_and_regions(self, tau, a, b):
+        t = twist_coframe(tau)
+        assert t.pullback(a.wedge(b)) == t.pullback(a).wedge(t.pullback(b))
+        assert t.pullback(a + b) == t.pullback(a) + t.pullback(b)
+        for region in Region:
+            assert t.pullback(a.in_region(region)) == t.pullback(a).in_region(region)
+
+    @settings(max_examples=30, deadline=None)
+    @given(TAUS, OPERATORS, ONE_FORMS)
+    def test_conjugate_acts_on_pulled_back_forms(self, tau, j, v):
+        t, t_inv = twist_coframe(tau), twist_coframe(tau.inverse())
+        twisted = j.conjugate_by(t, t_inv)
+        assert twisted(t.pullback(v)) == t.pullback(j(v))
+        assert mat_equal(
+            twisted.square(), LinearOperator(j.square()).conjugate_by(t, t_inv).matrix
+        )
+        for region in Region:
+            assert mat_equal(
+                twisted.in_region(region).matrix,
+                j.in_region(region).conjugate_by(t, t_inv).matrix,
+            )
+
+    @settings(max_examples=30, deadline=None)
+    @given(TAUS, OPERATORS, FORMS)
+    def test_twisted_composite_pulls_back_as_the_conjugate(self, tau, phi, h):
+        t, t_inv = twist_coframe(tau), twist_coframe(tau.inverse())
+        twisted = compose(compose(t_inv, phi), t)
+        assert twisted.pullback(t.pullback(h)) == t.pullback(phi.pullback(h))
+
+    @settings(max_examples=30, deadline=None)
+    @given(TAUS)
+    def test_twist_and_its_inverse_fix_omega(self, tau):
+        omega = standard_symplectic_form()
+        assert twist_coframe(tau).pullback(omega) == omega
+        assert twist_coframe(tau.inverse()).pullback(omega) == omega
+
+
+class TestNaturalityOracle:
+    """The reduced check_theorem5 against the direct twisted computation:
+    the same labels and verdicts (criterion 6 covers symbolic k)."""
+
+    POSITIVITY = "(b) metric positive definite (certified leading minors)"
+
+    @pytest.mark.parametrize("k", [2, -7, 0])
+    def test_criterion6_twists(self, k):
+        for tau in criterion6_twists():
+            rep = check_theorem5(k, tau)
+            assert rep.passed
+            assert verdicts(rep) == verdicts(direct_theorem5(k, tau))
+
+    @pytest.mark.parametrize("k", ["symbolic", 2, -7, 0])
+    def test_dropped_quadratic_term(self, k):
+        for tau in (*TWISTS, SL2Z(13, 8, 21, 13)):
+            rep = check_theorem5(k, tau, drop_quadratic_term=True)
+            direct = direct_theorem5(k, tau, drop_quadratic_term=True)
+            assert verdicts(rep) == verdicts(direct)
+            # at k = 0 there is no quadratic term to drop
+            assert rep.passed == (k == 0)
+            # both paths certify the same untwisted metric
+            claim = next(c for c in rep.claims if c.label == self.POSITIVITY)
+            assert claim in direct.claims
 
 
 class TestNegativeControls:
