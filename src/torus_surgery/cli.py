@@ -19,10 +19,10 @@ from . import lattice, surgery, verification
 
 
 #: Largest sweep grid, in descriptors, that ``sweep`` accepts; a bigger one
-#: exits 2. The grid bounds the multisets of slot pairs the sweep walks,
-#: those bound the classes it holds, and its memory grows with the classes,
-#: not with output lines: the 9.8M-descriptor grid with k in 0..55 gives
-#: 214,715 classes and peaks at about 187 MiB.
+#: exits 2. The grid bounds the recurrence states the sweep folds and the
+#: classes it holds, and its memory grows with those, not with output
+#: lines: the 9.8M-descriptor grid with k in 0..55 gives 214,715 classes
+#: and peaks at about 169 MiB.
 MAX_SWEEP_DESCRIPTORS = 10**7
 
 

@@ -5,8 +5,9 @@ manifolds, Betti-number bounds, and the Kähler / product obstructions.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+from math import gcd
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -154,7 +155,8 @@ def relation_shape(descriptor: SurgeryDescriptor) -> tuple[tuple[int, int], ...]
 
 def shape_h1(shape: Sequence[tuple[int, int]]) -> AbelianGroup:
     """Z^6 modulo the rows a_i e_2 + b_i e_{w_i}, one per pair (a_i, b_i)
-    of a relation shape, by determinantal divisors (Smith's theorem).
+    of a relation shape of at most four pairs, by determinantal divisors
+    (Smith's theorem); a longer shape raises ValueError.
 
     D_j, the gcd of the j x j minors, is the gcd over the j-subsets S of
     rows of prod_{i in S} b_i and of a_m prod_{i in S - m} b_i for m in S:
@@ -162,25 +164,36 @@ def shape_h1(shape: Sequence[tuple[int, int]]) -> AbelianGroup:
     prod_S b = b_m prod_{S - m} b, D_j is the gcd of g_m prod_T b_i over
     the rows m and the (j - 1)-subsets T of the other rows, where
     g_m = gcd(a_m, b_m). Adding the rows one at a time, that gcd follows
-    the recurrence of elementary symmetric functions. The invariant
-    factors are D_j / D_{j-1}, up to the first D_j = 0.
+    the recurrence of elementary symmetric functions (``_add_row``).
     """
-    # products[r]: gcd of the r-fold products of the b's added so far;
-    # divisors[j]: D_j of the rows added so far.
-    products = [1] + [0] * len(shape)
-    divisors = [0] * (len(shape) + 1)
-    for added, (a, b) in enumerate(shape, start=1):
-        g = math.gcd(a, b)
-        for j in range(added, 0, -1):
-            divisors[j] = math.gcd(
-                divisors[j], b * divisors[j - 1], g * products[j - 1]
-            )
-            products[j] = math.gcd(products[j], b * products[j - 1])
-    factors = []
-    previous = 1
-    for divisor in itertools.takewhile(bool, divisors[1:]):
-        factors.append(divisor // previous)
-        previous = divisor
+    if len(shape) > 4:
+        raise ValueError(f"a relation shape has at most four pairs, got {len(shape)}")
+    return _divisors_group(functools.reduce(_add_row, shape, _NO_ROWS)[4:])
+
+
+#: (P_1, ..., P_4, D_1, ..., D_4) of no rows: P_r is the gcd of the r-fold
+#: products of the b's added so far (P_0 = 1), D_j the gcd of their j x j
+#: minors (D_0 = 0).
+_NO_ROWS = (0,) * 8
+
+
+def _add_row(state: tuple[int, ...], pair: tuple[int, int]) -> tuple[int, ...]:
+    """The recurrence state after adding the row of ``pair``."""
+    p1, p2, p3, p4, d1, d2, d3, d4 = state
+    a, b = pair
+    g = gcd(a, b)
+    return (
+        gcd(p1, b), gcd(p2, b * p1), gcd(p3, b * p2), gcd(p4, b * p3),
+        gcd(d1, g), gcd(d2, b * d1, g * p1),
+        gcd(d3, b * d2, g * p2), gcd(d4, b * d3, g * p3),
+    )
+
+
+def _divisors_group(divisors: tuple[int, ...]) -> AbelianGroup:
+    """Z^6 modulo rows with determinantal divisors D_1, ..., D_4: the
+    invariant factors are D_j / D_{j-1}, up to the first D_j = 0."""
+    chain = (1, *itertools.takewhile(bool, divisors))
+    factors = [d // previous for previous, d in zip(chain, chain[1:])]
     return AbelianGroup(
         AMBIENT_RANK - len(factors), tuple(d for d in factors if d > 1)
     )
@@ -294,6 +307,13 @@ class SweepClass(_H1Invariants):
         }
 
 
+def _varied_slots(slots: Sequence[int] | None) -> tuple[int, ...]:
+    varied = (0, 1, 2, 3) if slots is None else tuple(slots)
+    if len(set(varied)) != len(varied) or not set(varied) <= {0, 1, 2, 3}:
+        raise ValueError(f"slots must be distinct and in 0..3, got {slots!r}")
+    return varied
+
+
 def sweep_descriptors(
     k_values: Sequence[int],
     tau_set: Sequence[SL2Z],
@@ -301,8 +321,9 @@ def sweep_descriptors(
     base_ks: tuple[int, int, int, int] = (0, 0, 0, 0),
 ) -> Iterable[SurgeryDescriptor]:
     """Grid of descriptors: the chosen slots range over k_values and every
-    slot ranges over tau_set; the remaining k entries come from base_ks."""
-    slots = tuple(slots) if slots is not None else (0, 1, 2, 3)
+    slot ranges over tau_set; the remaining k entries come from base_ks.
+    A repeated slot, or one outside 0..3, raises ValueError."""
+    slots = _varied_slots(slots)
     for ks in itertools.product(k_values, repeat=len(slots)):
         full = list(base_ks)
         for slot, k in zip(slots, ks):
@@ -319,20 +340,10 @@ def _slot_table(
     table: dict[tuple[int, int], list] = {}
     for k in k_values:
         for tau in tau_set:
-            pair = _slot_pair(k, tau)
-            entry = table.get(pair)
-            if entry is None:
-                table[pair] = [1, (k, tau)]
-            else:
-                entry[0] += 1
-                entry[1] = min(entry[1], (k, tau))
+            entry = table.setdefault(_slot_pair(k, tau), [0, (k, tau)])
+            entry[0] += 1
+            entry[1] = min(entry[1], (k, tau))
     return table
-
-
-def _arrangements(multiset: Sequence) -> int:
-    """Distinct orderings of a sequence whose equal items are adjacent."""
-    runs = [len(list(run)) for _, run in itertools.groupby(multiset)]
-    return math.factorial(len(multiset)) // math.prod(map(math.factorial, runs))
 
 
 def sweep(
@@ -346,52 +357,40 @@ def sweep(
     the grid's descriptors. Classes come out in the order of those
     descriptors.
 
-    H1 depends only on the multiset of slot pairs (|q k|, |s k|) (see
+    H1 depends only on the slot pairs (|q k|, |s k|) (see
     ``relation_shape``), so each slot's grid is reduced to a table
-    pair -> [count, smallest (k, tau)]. When the four tables are equal
-    (every slot ranges over the same grid), the sweep walks their
-    4-multisets: each stands for its number of distinct orderings times
-    the product of its counts of descriptors, and its smallest descriptor
-    holds its four slot minima in (k, tau) order, because descriptors order
-    by ``ks`` first and no slot can take a pair below that pair's smallest
-    k. Otherwise it walks the product of the four tables, whose cells
-    have the slot minima in slot order as their smallest descriptor. H1 is
-    computed once per multiset or cell, and one entry is held per class.
+    pair -> [count, smallest (k, tau)]. The sweep folds the four tables
+    into a map from the state of ``shape_h1``'s recurrence to
+    [number of partial descriptors reaching it, smallest of them]: each
+    slot takes one ``_add_row`` step per state and pair. This is exact
+    because H1 depends only on the final state, and because descriptors
+    order by ``ks``, then by ``taus``, so extending two partial
+    descriptors by the same choices keeps their order. After the last
+    slot only D_1, ..., D_4 are kept, one entry per class.
     """
-    varied = range(4) if slots is None else slots
-    tables = [
-        _slot_table(k_values if slot in varied else (base_ks[slot],), tau_set)
-        for slot in range(4)
-    ]
-    if all(table == tables[0] for table in tables):
-        # Entries in the order of their minima, so that every multiset
-        # lists its minima sorted.
-        entries = sorted(tables[0].items(), key=lambda item: item[1][1])
-        cells = (
-            (cell, _arrangements(cell))
-            for cell in itertools.combinations_with_replacement(entries, 4)
+    varied = _varied_slots(slots)
+    states = {_NO_ROWS: [1, ((), ())]}
+    for slot in range(4):
+        table = _slot_table(
+            k_values if slot in varied else (base_ks[slot],), tau_set
         )
-    else:
-        cells = (
-            (cell, 1)
-            for cell in itertools.product(*(table.items() for table in tables))
-        )
-    groups: dict[AbelianGroup, list] = {}
-    for cell, orderings in cells:
-        group = shape_h1([pair for pair, _ in cell])
-        count = orderings * math.prod(entry[0] for _, entry in cell)
-        # (ks, taus) of the cell's smallest descriptor
-        smallest = tuple(zip(*(entry[1] for _, entry in cell)))
-        held = groups.get(group)
-        if held is None:
-            groups[group] = [smallest, count]
-        else:
-            held[1] += count
-            if smallest < held[0]:
-                held[0] = smallest
-    return [
-        SweepClass(group, SurgeryDescriptor(ks, taus), count)
-        for group, ((ks, taus), count) in sorted(
-            groups.items(), key=lambda item: item[1][0]
-        )
-    ]
+        kept = slice(4 if slot == 3 else 0, None)
+        folded: dict[tuple[int, ...], list] = {}
+        for state, (count, (ks, taus)) in states.items():
+            for pair, (n, (k, tau)) in table.items():
+                key = _add_row(state, pair)[kept]
+                smallest = (ks + (k,), taus + (tau,))
+                entry = folded.get(key)
+                if entry is None:
+                    folded[key] = [count * n, smallest]
+                else:
+                    entry[0] += count * n
+                    if smallest < entry[1]:
+                        entry[1] = smallest
+        states = folded
+    classes = []
+    for divisors in sorted(states, key=lambda key: states[key][1]):
+        count, smallest = states.pop(divisors)
+        group = _divisors_group(divisors)
+        classes.append(SweepClass(group, SurgeryDescriptor(*smallest), count))
+    return classes

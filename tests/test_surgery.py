@@ -270,6 +270,11 @@ class TestFirstHomology:
             rows.append(tuple(row))
         assert shape_h1(shape) == AbelianGroup(*minor_gcd_group(tuple(rows)))
 
+    def test_at_most_four_pairs(self):
+        assert shape_h1([(1, 2)] * 4) == AbelianGroup(2, (2, 2, 2))
+        with pytest.raises(ValueError, match="at most four pairs"):
+            shape_h1([(1, 2)] * 5)
+
     def test_examples(self):
         assert h1(SurgeryDescriptor.plain(0, 5, 1, 1)) == AbelianGroup(3, (5,))
         assert h1(SurgeryDescriptor.plain(0, 0, 0, 0)) == AbelianGroup(6, ())
@@ -491,6 +496,15 @@ class TestSweep:
         assert sweep(range(0, 2), []) == []
         assert sweep(range(0, 2), [], slots=[1], base_ks=(1, 2, 3, 4)) == []
 
+    @pytest.mark.parametrize("slots", [[0, 0], [-1], [4], [5], [1, 2, 2]])
+    def test_bad_slots_rejected(self, slots):
+        # A repeated slot would count its descriptors twice, and one outside
+        # 0..3 would index base_ks from the end or past it.
+        with pytest.raises(ValueError, match="slots"):
+            sweep(range(0, 3), [SL2Z.identity()], slots=slots)
+        with pytest.raises(ValueError, match="slots"):
+            list(sweep_descriptors(range(0, 3), [SL2Z.identity()], slots=slots))
+
     def test_deterministic_order(self):
         # The order in which k values, twists and varied slots are listed
         # does not change the classes, their order or their representatives.
@@ -581,26 +595,27 @@ class TestSweepOracle:
     @settings(max_examples=25, deadline=None)
     @given(k_min=st.integers(-4, 2), k_count=st.integers(1, 4), taus=twist_lists)
     def test_full_grids(self, k_min, k_count, taus):
-        # Every slot varies: the sweep counts 4-multisets of slot pairs.
+        # Every slot varies over the same k values and twists.
         # At most six (k, tau) per slot keeps the oracle's grid small.
         assume(k_count * len(taus) <= 6)
         self.check(range(k_min, k_min + k_count), taus)
 
 
 class TestSweepShapeTable:
-    """The work a sweep does is bounded by its distinct relation shapes and
+    """The work a sweep does is bounded by its recurrence states and
     classes, not by its grid."""
 
     # 3 k values and 3 twists per slot: 9^4 = 6561 descriptors.
     GRID = dict(k_values=range(-1, 2), tau_set=TWIST_POOL[:3])
 
-    def test_h1_once_per_shape_and_no_report(self, monkeypatch):
+    def test_steps_bounded_and_no_report(self, monkeypatch):
+        # One recurrence step per reachable state and slot pair: a few
+        # dozen steps for the whole grid, and no report per class.
         descriptors = list(sweep_descriptors(**self.GRID))
-        h1_calls = count_calls(monkeypatch, "shape_h1")
+        steps = count_calls(monkeypatch, "_add_row")
         report_calls = count_calls(monkeypatch, "report")
         sweep(**self.GRID)
-        assert len(h1_calls) == len({relation_shape(d) for d in descriptors})
-        assert len(h1_calls) < len(descriptors) // 10
+        assert 0 < len(steps) < len(descriptors) // 100
         assert report_calls == []
 
     def test_no_descriptor_per_grid_point(self, monkeypatch):
