@@ -11,6 +11,7 @@ substitution such as ``f -> 1/(x^2+y^2)``.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Union
 
 #: Symbol order is fixed; monomials are compared lexicographically on it.
@@ -54,10 +55,11 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
+        if type(other) is not GaussianRational:
+            if isinstance(other, (int, Fraction)):
+                return self.im == 0 and self.re == other
+            if not isinstance(other, GaussianRational):
+                return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -135,8 +137,31 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-#: Exponent tuple of the constant monomial.
-_CONSTANT = (0,) * len(SYMBOLS)
+#: Packed monomials (see ``Polynomial``): each symbol's shift, the field
+#: mask, the exponent limit, and every field's guard bit and lowest bit.
+_SHIFTS = tuple(range(16 * len(SYMBOLS) - 16, -1, -16))
+_FIELD = 0xFFFF
+_LIMIT = 1 << 15
+_GUARD = sum(_LIMIT << s for s in _SHIFTS)
+_ODD = sum(1 << s for s in _SHIFTS)
+
+
+def _pack(exps) -> int:
+    if len(exps) != len(SYMBOLS) or any(type(e) is not int or not 0 <= e < _LIMIT for e in exps):
+        raise ValueError(f"exponents {exps} are not one int in 0..{_LIMIT - 1} per symbol")
+    return sum(e << s for e, s in zip(exps, _SHIFTS))
+
+
+def _unpack(monomial: int) -> tuple[int, ...]:
+    return tuple((monomial >> s) & _FIELD for s in _SHIFTS)
+
+
+def _pair(value) -> tuple[RationalLike, RationalLike]:
+    """An ``int``, ``Fraction`` or ``GaussianRational`` as an (re, im) pair."""
+    if type(value) is int:
+        return value, 0
+    value = GaussianRational.coerce(value)
+    return value.re, value.im
 
 
 def _power(base, n: int, one):
@@ -156,51 +181,59 @@ def _power(base, n: int, one):
 class Polynomial:
     """Sparse multivariate polynomial over the Gaussian rationals.
 
-    Terms map exponent tuples (aligned with ``SYMBOLS``) to nonzero
-    coefficients; the zero polynomial has no terms.
+    Held privately as a dict from packed monomial to nonzero coefficient.
+    A monomial is one ``int``, 16 bits per symbol with x highest, so integer
+    order is lex order, a monomial product is one addition and "all
+    exponents even" is one AND. A coefficient is an (re, im) pair of
+    ``int``s, or of ``Fraction``s where needed (``1/(2x)``). Exponents stay
+    below 2**15, so a sum of two never carries into the next field:
+    ``__init__`` refuses a larger one, and a product that reaches 2**15 sets
+    that field's guard bit and raises ``ValueError``. ``GaussianRational``s
+    are built only at the API edge: ``constant``, ``leading``, ``evaluate``,
+    ``__str__`` and the read-only ``terms`` view.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], GaussianRational] | None = None):
-        clean: dict[tuple[int, ...], GaussianRational] = {}
+        clean: dict[int, tuple] = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = GaussianRational.coerce(coeff)
-                if not coeff:
-                    continue
-                if len(exps) != len(SYMBOLS) or any(type(e) is not int or e < 0 for e in exps):
-                    raise ValueError(f"exponents {exps} are not one int >= 0 per symbol")
-                clean[tuple(exps)] = coeff
-        object.__setattr__(self, "terms", clean)
+                coeff = _pair(coeff)
+                if coeff != (0, 0):
+                    clean[_pack(exps)] = coeff
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, ...], GaussianRational]) -> "Polynomial":
-        """Wrap ``terms``, whose keys are exponent tuples of the right
-        length and whose values are ``GaussianRational``s, dropping zeros
-        but skipping the coercion and checks of ``__init__``."""
+    def _of(cls, terms: dict[int, tuple]) -> "Polynomial":
+        """Wrap ``terms``, packed monomial to nonzero pair, skipping ``__init__``."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(poly, "_terms", terms)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], GaussianRational]:
+        """Read-only view: exponent tuple (aligned with ``SYMBOLS``) to coefficient."""
+        return MappingProxyType({_unpack(m): GaussianRational(*c) for m, c in self._terms.items()})
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def constant(cls, value: GaussianRational | RationalLike) -> "Polynomial":
-        return cls({(0,) * len(SYMBOLS): GaussianRational.coerce(value)})
+        return cls._of({0: pair} if (pair := _pair(value)) != (0, 0) else {})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         if name not in SYMBOLS:
             raise ValueError(f"unknown symbol {name!r}")
-        return cls({tuple(1 if s == name else 0 for s in SYMBOLS): ONE})
+        return cls._of({1 << _SHIFTS[SYMBOLS.index(name)]: (1, 0)})
 
     # -- ring structure ---------------------------------------------------
 
@@ -212,15 +245,16 @@ class Polynomial:
 
     def __add__(self, other):
         other = Polynomial.coerce(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        return Polynomial._of(terms)
+        terms = dict(self._terms)
+        for m, (c, d) in other._terms.items():
+            old = terms.get(m)
+            terms[m] = (c, d) if old is None else (old[0] + c, old[1] + d)
+        return Polynomial._of({m: c for m, c in terms.items() if c != (0, 0)})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._of({e: -c for e, c in self.terms.items()})
+        return Polynomial._of({m: (-a, -b) for m, (a, b) in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-Polynomial.coerce(other))
@@ -232,16 +266,21 @@ class Polynomial:
         other = Polynomial.coerce(other)
         factor = other._constant()
         if factor is not None:
-            return self.scale(factor)
+            return self._scale(factor)
         factor = self._constant()
         if factor is not None:
-            return other.scale(factor)
-        terms: dict[tuple[int, ...], GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms[exps] + c1 * c2 if exps in terms else c1 * c2
-        return Polynomial._of(terms)
+            return other._scale(factor)
+        terms: dict[int, tuple] = {}
+        get = terms.get
+        for m1, (a, b) in self._terms.items():
+            for m2, (c, d) in other._terms.items():
+                m = m1 + m2
+                re, im = a * c - b * d, a * d + b * c
+                old = get(m)
+                terms[m] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        if any(m & _GUARD for m in terms):
+            raise ValueError(f"an exponent of the product reaches {_LIMIT}")
+        return Polynomial._of({m: c for m, c in terms.items() if c != (0, 0)})
 
     __rmul__ = __mul__
 
@@ -249,71 +288,79 @@ class Polynomial:
         return _power(self, n, _ONE)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Polynomial.constant(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.terms == other.terms
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                other = Polynomial.constant(other)
+            elif not isinstance(other, Polynomial):
+                return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self):
         # A constant equals its coefficient, so it hashes alike.
         value = self._constant()
         if value is not None:
-            return hash(value)
-        return hash(frozenset(self.terms.items()))
+            return hash(value) if value[1] else hash(value[0])
+        return hash(frozenset(self._terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
-    def _constant(self) -> GaussianRational | None:
-        """The value of a constant polynomial (``ZERO`` for zero); ``None``
-        when a symbol occurs."""
-        terms = self.terms
+    def is_real(self) -> bool:
+        return all(im == 0 for _, im in self._terms.values())
+
+    def _constant(self) -> tuple[RationalLike, RationalLike] | None:
+        """The (re, im) value of a constant polynomial ((0, 0) for zero);
+        ``None`` when a symbol occurs."""
+        terms = self._terms
         if not terms:
-            return ZERO
+            return 0, 0
         if len(terms) == 1:
-            return terms.get(_CONSTANT)
+            return terms.get(0)
         return None
 
     # -- structure --------------------------------------------------------
 
     def contains(self, name: str) -> bool:
-        idx = SYMBOLS.index(name)
-        return any(exps[idx] > 0 for exps in self.terms)
+        shift = _SHIFTS[SYMBOLS.index(name)]
+        return any((m >> shift) & _FIELD for m in self._terms)
 
     def leading(self) -> tuple[tuple[int, ...], GaussianRational]:
         """Lex-largest monomial (exponent tuples compare in the declared
         symbol order) and its coefficient."""
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        m = max(self._terms)
+        return _unpack(m), GaussianRational(*self._terms[m])
 
     def monomial_content(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms."""
         if self.is_zero():
             raise ValueError("zero polynomial has no content")
-        return tuple(min(col) for col in zip(*self.terms))
+        return tuple(min((m >> s) & _FIELD for m in self._terms) for s in _SHIFTS)
 
     def shift_down(self, content: tuple[int, ...]) -> "Polynomial":
-        terms = {
-            tuple(e - c for e, c in zip(exps, content)): coeff
-            for exps, coeff in self.terms.items()
-        }
-        return Polynomial._of(terms)
+        """Divide by the monomial ``content``, which divides every term."""
+        c = _pack(content)
+        return Polynomial._of({m - c: v for m, v in self._terms.items()})
 
-    def scale(self, factor: GaussianRational) -> "Polynomial":
-        if factor == ONE:
+    def _scale(self, factor: tuple[RationalLike, RationalLike]) -> "Polynomial":
+        """``self`` times the constant whose (re, im) pair is ``factor``."""
+        if factor == (1, 0):
             return self
-        return Polynomial._of({e: c * factor for e, c in self.terms.items()})
+        if factor == (0, 0):
+            return Polynomial.zero()
+        c, d = factor
+        return Polynomial._of(
+            {m: (a * c - b * d, a * d + b * c) for m, (a, b) in self._terms.items()}
+        )
 
     def derivative(self, name: str) -> "Polynomial":
         # Distinct monomials have distinct derivatives, so nothing collects.
-        idx = SYMBOLS.index(name)
-        return Polynomial({
-            exps[:idx] + (exps[idx] - 1,) + exps[idx + 1:]: coeff * exps[idx]
-            for exps, coeff in self.terms.items()
-            if exps[idx]
+        shift = _SHIFTS[SYMBOLS.index(name)]
+        return Polynomial._of({
+            m - (1 << shift): (a * e, b * e)
+            for m, (a, b) in self._terms.items()
+            if (e := (m >> shift) & _FIELD)
         })
 
     def substitute(
@@ -321,9 +368,9 @@ class Polynomial:
     ) -> "RationalFunction":
         """Replace symbols by rational functions; unmentioned symbols stay."""
         result = RationalFunction.zero()
-        for exps, coeff in self.terms.items():
-            term = RationalFunction.constant(coeff)
-            for sym, e in zip(SYMBOLS, exps):
+        for m, coeff in self._terms.items():
+            term = RationalFunction.from_polynomial(Polynomial._of({0: coeff}))
+            for sym, e in zip(SYMBOLS, _unpack(m)):
                 if e == 0:
                     continue
                 if sym in assignment:
@@ -338,9 +385,9 @@ class Polynomial:
         self, assignment: Mapping[str, RationalLike | GaussianRational]
     ) -> GaussianRational:
         total = ZERO
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for sym, e in zip(SYMBOLS, exps):
+        for m, coeff in self._terms.items():
+            value = GaussianRational(*coeff)
+            for sym, e in zip(SYMBOLS, _unpack(m)):
                 if e == 0:
                     continue
                 if sym not in assignment:
@@ -353,22 +400,32 @@ class Polynomial:
         if self.is_zero():
             return "0"
         pieces = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
+        for m in sorted(self._terms):
+            coeff = self._terms[m]
             factors = [
                 sym if e == 1 else f"{sym}^{e}"
-                for sym, e in zip(SYMBOLS, exps)
+                for sym, e in zip(SYMBOLS, _unpack(m))
                 if e > 0
             ]
             if not factors:
-                pieces.append(str(coeff))
-            elif coeff == ONE:
+                pieces.append(str(GaussianRational(*coeff)))
+            elif coeff == (1, 0):
                 pieces.append("*".join(factors))
             else:
-                pieces.append(str(coeff) + "*" + "*".join(factors))
+                pieces.append(str(GaussianRational(*coeff)) + "*" + "*".join(factors))
         return " + ".join(pieces)
 
     __repr__ = __str__
+
+
+def certified_positive(poly: Polynomial) -> bool:
+    """A sufficient test that poly > 0 at every real point: a positive
+    constant term, and only positive real coefficients on monomials whose
+    exponents are all even. Each such monomial is >= 0, so poly is at least
+    its constant term. False does not mean poly takes a value <= 0."""
+    return 0 in poly._terms and all(
+        im == 0 and re > 0 and not m & _ODD for m, (re, im) in poly._terms.items()
+    )
 
 
 class RationalFunction:
@@ -384,6 +441,8 @@ class RationalFunction:
     - a constant or a polynomial is itself over 1;
     - ``x + 0`` and ``0 + x`` return ``x``, and a sum of two polynomials is
       their sum over 1;
+    - a product of two polynomials is their product over 1, since a
+      denominator of 1 has no monomial content and leading coefficient 1;
     - a product with a constant c is zero, ``x`` or ``(c*num)/den``, since
       scaling by a nonzero c moves neither content nor the denominator;
     - ``-x`` is ``(-num)/den``;
@@ -396,7 +455,7 @@ class RationalFunction:
     normalisation; ``tests/test_coefficients.py`` checks that it does.
 
     Equality is decided by cross-multiplication, so no multivariate gcd is
-    ever needed.
+    ever needed. ``num`` and ``den`` share ``Polynomial``'s 2**15 limit.
     """
 
     __slots__ = ("num", "den")
@@ -413,11 +472,11 @@ class RationalFunction:
             if any(common):
                 num = num.shift_down(common)
                 den = den.shift_down(common)
-        _, lead = den.leading()
-        if lead != ONE:
-            inv = ONE / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
+        lead = den._terms[max(den._terms)]
+        if lead != (1, 0):
+            inv = _pair(ONE / GaussianRational(*lead))
+            num = num._scale(inv)
+            den = den._scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -484,15 +543,18 @@ class RationalFunction:
         return RationalFunction.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self._scale(GaussianRational.coerce(other))
-        other = RationalFunction.coerce(other)
+        if type(other) is not RationalFunction:
+            if type(other) is int or isinstance(other, (int, Fraction, GaussianRational)):
+                return self._scale(_pair(other))
+            other = RationalFunction.coerce(other)
         factor = other._constant()
         if factor is not None:
             return self._scale(factor)
         factor = self._constant()
         if factor is not None:
             return other._scale(factor)
+        if self.den._constant() is not None and other.den._constant() is not None:
+            return RationalFunction._of(self.num * other.num, _ONE)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -512,36 +574,38 @@ class RationalFunction:
         return RationalFunction._of(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
-            other = RationalFunction.coerce(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
+        if type(other) is not RationalFunction:
+            if isinstance(other, (int, Fraction, GaussianRational, Polynomial)):
+                other = RationalFunction.coerce(other)
+            elif not isinstance(other, RationalFunction):
+                return NotImplemented
         return (self.num * other.den) == (other.num * self.den)
 
     # Equality is by cross-multiplication, so instances are unhashable.
     __hash__ = None  # type: ignore[assignment]
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num._terms
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.num._terms)
 
-    def _constant(self) -> GaussianRational | None:
-        """The value of a constant, or ``None``; a normal-form constant has
-        denominator 1."""
+    def _constant(self) -> tuple[RationalLike, RationalLike] | None:
+        """The (re, im) value of a constant, or ``None``; a normal-form
+        constant has denominator 1."""
         if self.den._constant() is None:
             return None
         return self.num._constant()
 
-    def _scale(self, factor: GaussianRational) -> "RationalFunction":
-        """``self`` times a constant: scaling the numerator by a nonzero
-        constant moves neither its monomial content nor the denominator."""
-        if not factor:
+    def _scale(self, factor: tuple[RationalLike, RationalLike]) -> "RationalFunction":
+        """``self`` times the constant whose (re, im) pair is ``factor``:
+        scaling the numerator by a nonzero constant moves neither its
+        monomial content nor the denominator."""
+        if factor == (0, 0):
             return _ZERO
-        if factor == ONE:
+        if factor == (1, 0):
             return self
-        return RationalFunction._of(self.num.scale(factor), self.den)
+        return RationalFunction._of(self.num._scale(factor), self.den)
 
     def contains(self, name: str) -> bool:
         return self.num.contains(name) or self.den.contains(name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Mapping, Sequence
 
-from .coefficients import SYMBOLS, Polynomial, RationalFunction
+from .coefficients import Polynomial, RationalFunction, certified_positive
 
 GENERATORS = ("dx", "dy", "dz", "dw", "ds1", "ds2")
 
@@ -81,6 +81,13 @@ class Form:
                 clean[tuple(key)] = coeff
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], RationalFunction]) -> "Form":
+        """Wrap ``terms``, whose keys are already strictly increasing, dropping zeros."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "terms", {k: c for k, c in terms.items() if not c.is_zero()})
+        return form
+
     def __setattr__(self, name, value):
         raise AttributeError("Form is immutable")
 
@@ -123,17 +130,17 @@ class Form:
         terms = dict(self.terms)
         for key, coeff in other.terms.items():
             terms[key] = terms[key] + coeff if key in terms else coeff
-        return Form(terms)
+        return Form._of(terms)
 
     def __neg__(self) -> "Form":
-        return Form({k: -c for k, c in self.terms.items()})
+        return Form._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def __mul__(self, scalar) -> "Form":
         scalar = RationalFunction.coerce(scalar)
-        return Form({k: c * scalar for k, c in self.terms.items()})
+        return Form._of({k: c * scalar for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -174,7 +181,7 @@ class Form:
                 key, sign = sorted_key
                 coeff = c1 * c2 * sign
                 terms[key] = terms[key] + coeff if key in terms else coeff
-        return Form(terms)
+        return Form._of(terms)
 
     def wedge_power(self, n: int) -> "Form":
         result = Form.function(1)
@@ -185,7 +192,7 @@ class Form:
     # -- substitution and calculus ----------------------------------------
 
     def substitute(self, assignment: Mapping[str, RationalFunction]) -> "Form":
-        return Form({k: c.substitute(assignment) for k, c in self.terms.items()})
+        return Form._of({k: c.substitute(assignment) for k, c in self.terms.items()})
 
     def in_region(self, region: Region) -> "Form":
         subst = region.substitution()
@@ -351,7 +358,7 @@ class CoframeMap:
     def pullback(self, form: Form) -> Form:
         n = len(GENERATORS)
         columns = [
-            Form({(i,): self.matrix[i][j] for i in range(n)}) for j in range(n)
+            Form._of({(i,): self.matrix[i][j] for i in range(n)}) for j in range(n)
         ]
         result = Form.zero()
         for key, coeff in form.terms.items():
@@ -431,17 +438,6 @@ def omega_matrix(omega: Form) -> list[list[RationalFunction]]:
     return matrix
 
 
-def certified_positive(poly: Polynomial) -> bool:
-    """A sufficient test that poly > 0 at every real point: a positive
-    constant term, and only positive real coefficients on monomials whose
-    exponents are all even. Each such monomial is >= 0, so poly is at least
-    its constant term. False does not mean poly takes a value <= 0."""
-    return (0,) * len(SYMBOLS) in poly.terms and all(
-        coeff.is_real() and coeff.re > 0 and not any(e % 2 for e in exps)
-        for exps, coeff in poly.terms.items()
-    )
-
-
 class CompatibilityReport:
     """Outcome of checking a candidate almost complex structure against a
     2-form: invariance, symmetry of the induced metric, and positivity
@@ -495,9 +491,8 @@ def _positivity_failures(h: list[list[RationalFunction]]) -> list[str]:
     is a positive multiple of minor m of h, and 0 exactly when it is."""
     for i, row in enumerate(h):
         for j, entry in enumerate(row):
-            for coeff in (*entry.num.terms.values(), *entry.den.terms.values()):
-                if not coeff.is_real():
-                    return [f"entry [{i}][{j}] is not real: {entry}"]
+            if not (entry.num.is_real() and entry.den.is_real()):
+                return [f"entry [{i}][{j}] is not real: {entry}"]
     a = [list(row) for row in h]
     for m in range(1, len(a) + 1):
         p = a[m - 1][m - 1]

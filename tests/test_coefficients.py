@@ -186,7 +186,10 @@ class TestOnlyExactInputs:
             build(value)
 
     @pytest.mark.parametrize(
-        "exps", [(-1, 0, 0, 0), (0.5, 0, 0, 0), (0, "2", 0, 0), (1, 0, 0)], ids=repr
+        "exps",
+        [(-1, 0, 0, 0), (0.5, 0, 0, 0), (0, "2", 0, 0), (1, 0, 0),
+         (2**15, 0, 0, 0), (0, 0, 0, 2**15), (2**16, 0, 0, 0), (0, 2**16, 0, 0)],
+        ids=repr,
     )
     def test_exponents_are_nonnegative_ints_one_per_symbol(self, exps):
         with pytest.raises(ValueError):
@@ -498,3 +501,138 @@ class TestHashAgreesWithEquality:
     def test_zero_polynomial(self):
         assert Polynomial.zero() == 0
         assert hash(Polynomial.zero()) == hash(0)
+
+
+class TestPackingBounds:
+    """Each exponent has a 16-bit field and stays below 2**15."""
+
+    @pytest.mark.parametrize("name", SYMBOLS)
+    def test_product_past_the_limit_raises(self, name):
+        exps = tuple(2**14 if s == name else 0 for s in SYMBOLS)
+        half = Polynomial({exps: 1})
+        with pytest.raises(ValueError):
+            half * half
+        with pytest.raises(ValueError):
+            Polynomial.variable(name) ** 2**15
+
+    def test_largest_exponent(self):
+        assert str(Polynomial.variable("x") ** (2**15 - 1)) == "x^32767"
+        top = (2**15 - 1,) * len(SYMBOLS)
+        assert set(Polynomial({top: 1}).terms) == {top}
+
+    def test_integral_fraction_parts_equal_their_ints(self):
+        x = Polynomial.variable("x")
+        y = Polynomial.variable("y")
+        half_x = Polynomial({(1, 0, 0, 0): Fraction(1, 2)})
+        for value, want in (
+            (half_x * 2, x),
+            (half_x * (2 * y), x * y),
+            (Polynomial.constant(Fraction(1, 2)) * 2, Polynomial.constant(1)),
+        ):
+            assert value == want and hash(value) == hash(want)
+            assert str(value) == str(want)
+
+
+# -- the packed kernel against a dict of exponent tuples to (re, im) pairs,
+# -- written here and sharing no code with it --------------------------------
+
+
+def plain_terms(entries):
+    """Each entry is (exponents as base-4 digits, re, im, denominator); a
+    denominator above 1 makes both parts ``Fraction``s."""
+    terms = {}
+    for code, re, im, den in entries:
+        exps = tuple(code // 4**i % 4 for i in reversed(range(len(SYMBOLS))))
+        terms[exps] = (Fraction(re, den), Fraction(im, den)) if den > 1 else (re, im)
+    return terms
+
+
+# Four draws per term: drawing exponent tuples and fractions directly cost
+# Hypothesis more time than the checks themselves.
+PLAIN = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4 ** len(SYMBOLS) - 1),
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-4, max_value=4),
+        st.sampled_from((1, 1, 2, 3)),
+    ),
+    max_size=3,
+).map(plain_terms)
+
+
+def plain_clean(p):
+    return {e: c for e, c in p.items() if c != (0, 0)}
+
+
+def plain_add(p, q):
+    out = dict(p)
+    for e, (c, d) in q.items():
+        a, b = out.get(e, (0, 0))
+        out[e] = (a + c, b + d)
+    return plain_clean(out)
+
+
+def plain_mul(p, q):
+    out = {}
+    for e1, (a, b) in p.items():
+        for e2, (c, d) in q.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            re, im = out.get(e, (0, 0))
+            out[e] = (re + a * c - b * d, im + a * d + b * c)
+    return plain_clean(out)
+
+
+def packed(p):
+    return Polynomial({e: GaussianRational(*c) for e, c in p.items()})
+
+
+def unpacked(poly):
+    return {e: (c.re, c.im) for e, c in poly.terms.items()}
+
+
+class TestPackedKernelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(PLAIN, PLAIN, st.integers(min_value=0, max_value=3), st.sampled_from(SYMBOLS))
+    def test_against_plain_dicts(self, p, q, n, name):
+        a, b = packed(p), packed(q)
+        p, q = plain_clean(p), plain_clean(q)
+        assert unpacked(a) == p
+        assert unpacked(a + b) == plain_add(p, q)
+        assert unpacked(a - b) == plain_add(p, {e: (-c, -d) for e, (c, d) in q.items()})
+        assert unpacked(a * b) == plain_mul(p, q)
+        power = {(0,) * len(SYMBOLS): (1, 0)}
+        for _ in range(n):
+            power = plain_mul(power, p)
+        assert unpacked(a**n) == power
+        assert (a == b) == (p == q)
+        assert hash(a) == hash(packed(dict(reversed(list(p.items())))))
+        if p == q:
+            assert hash(a) == hash(b)
+        i = SYMBOLS.index(name)
+        assert unpacked(a.derivative(name)) == {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: (c * e[i], d * e[i])
+            for e, (c, d) in p.items()
+            if e[i]
+        }
+        if p:
+            assert a.monomial_content() == tuple(map(min, zip(*p)))
+            exps, coeff = a.leading()
+            assert exps == max(p) and (coeff.re, coeff.im) == p[exps]
+
+    def test_general_product_builds_no_gaussian_rational(self, monkeypatch):
+        x, y, k = (Polynomial.variable(s) for s in ("x", "y", "k"))
+        a = 3 * x * x + I * y + Fraction(1, 2) * k
+        b = (2 - I) * x * y - 5 * k + 7
+        want = plain_mul(unpacked(a), unpacked(b))
+        calls = []
+        original = GaussianRational.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counting)
+        product = a * b
+        monkeypatch.undo()
+        assert calls == []
+        assert unpacked(product) == want

@@ -136,6 +136,11 @@ class TestWedge:
         assert Form.from_terms((1, "dy", "dx")) == -Form.from_terms((1, "dx", "dy"))
         assert Form.from_terms((1, "dx", "dx")).is_zero()
 
+    @pytest.mark.parametrize("key", [(1, 0), (0, 0), (2, 1, 3)], ids=repr)
+    def test_constructor_rejects_keys_not_strictly_increasing(self, key):
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            Form({key: RationalFunction.constant(1)})
+
     @settings(max_examples=40)
     @given(small_forms(), small_forms(), small_forms())
     def test_associativity_and_distributivity(self, a, b, c):
