@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -30,10 +31,19 @@ class InputError(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
+def integer(text: str) -> int:
+    """An optional sign and ASCII digits, and nothing else: ``int()`` alone
+    would also read other scripts' digits (``"٣"`` as 3), spaces and
+    underscores."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _parse_ints(text: str, flag: str) -> tuple[int, int, int, int]:
     """Four comma-separated integers given to ``flag``."""
     try:
-        values = tuple(int(part) for part in text.split(","))
+        values = tuple(integer(part) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"{flag} expects four comma-separated integers: {exc}")
     if len(values) != 4:
@@ -52,7 +62,7 @@ def _parse_sl2z(text: str, flag: str) -> surgery.SL2Z:
 def _parse_tau_slot(text: str) -> tuple[int, surgery.SL2Z]:
     slot_text, _, entries_text = text.partition(":")
     try:
-        slot = int(slot_text)
+        slot = integer(slot_text)
     except ValueError:
         slot = None
     if slot not in (1, 2, 3, 4):
@@ -70,11 +80,14 @@ def _descriptor_from_args(args) -> surgery.SurgeryDescriptor:
     if args.k is None:
         raise InputError("provide --k or a descriptor file")
     ks = _parse_ints(args.k, "--k")
-    taus = [surgery.SL2Z.identity()] * 4
+    taus: dict[int, surgery.SL2Z] = {}
     for text in args.tau or []:
         slot, tau = _parse_tau_slot(text)
-        taus[slot - 1] = tau
-    return surgery.SurgeryDescriptor(ks, tuple(taus))
+        if slot in taus:
+            raise InputError(f"--tau gives slot {slot} twice")
+        taus[slot] = tau
+    identity = surgery.SL2Z.identity()
+    return surgery.SurgeryDescriptor(ks, tuple(taus.get(i, identity) for i in (1, 2, 3, 4)))
 
 
 def _report_line(rep: surgery.SurgeryReport) -> str:
@@ -119,7 +132,7 @@ def _parse_k_param(text: str):
     if text == "symbolic":
         return "symbolic"
     try:
-        return int(text)
+        return integer(text)
     except ValueError:
         raise InputError(f"--k must be an integer or 'symbolic', got {text!r}")
 
@@ -286,10 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma6.set_defaults(func=cmd_lemma6)
 
     p_sweep = sub.add_parser("sweep", help="enumerate invariant classes")
-    p_sweep.add_argument("--k-min", type=int, required=True)
-    p_sweep.add_argument("--k-max", type=int, required=True)
+    p_sweep.add_argument("--k-min", type=integer, required=True)
+    p_sweep.add_argument("--k-max", type=integer, required=True)
     p_sweep.add_argument("--tau-file", help="JSON list of [[p,q],[r,s]] matrices")
-    p_sweep.add_argument("--slot", type=int, choices=(1, 2, 3, 4),
+    p_sweep.add_argument("--slot", type=integer, choices=(1, 2, 3, 4),
                          help="vary only this surgery slot")
     p_sweep.add_argument("--base-k", default="0,0,0,0",
                          help="k values for the slots held fixed")

@@ -20,36 +20,35 @@ SYMBOLS = ("x", "y", "k", "f")
 RationalLike = Union[int, Fraction]
 
 
+def _exact(part, what: str = "part") -> RationalLike:
+    """``part`` as an ``int`` when integral and as a ``Fraction`` only when
+    not; anything else, a float included, raises ``TypeError``."""
+    if type(part) is int:
+        return part
+    if not isinstance(part, (int, Fraction)):
+        raise TypeError(f"{what} {part!r} is not an int or a Fraction")
+    return part.numerator if part.denominator == 1 else part
+
+
 class GaussianRational:
     """A number a + b*i with exact parts a, b, each an ``int`` or a ``Fraction``.
 
-    Each part is held as an ``int`` when it is integral and as a
-    ``Fraction`` only when it is not, so every value has one form and
-    Gaussian integers never touch ``fractions``.
+    The value at the API edge: the ``terms`` view, ``RationalFunction.evaluate``
+    and the scalars callers pass in (``I``, ``-I``). It has no arithmetic
+    beyond negation; the kernel computes on (re, im) pairs, and a product
+    such as ``I * f`` is the rational function's. Each part is held as an
+    ``int`` when it is integral and as a ``Fraction`` only when it is not,
+    so every value has one form.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        if type(re) is not int:
-            if not isinstance(re, (int, Fraction)):
-                raise TypeError(f"real part {re!r} is not an int or a Fraction")
-            re = re.numerator if re.denominator == 1 else re
-        if type(im) is not int:
-            if not isinstance(im, (int, Fraction)):
-                raise TypeError(f"imaginary part {im!r} is not an int or a Fraction")
-            im = im.numerator if im.denominator == 1 else im
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "re", _exact(re, "real part"))
+        object.__setattr__(self, "im", _exact(im, "imaginary part"))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def coerce(value: "GaussianRational | RationalLike") -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return GaussianRational(value)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -68,59 +67,8 @@ class GaussianRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def __add__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, (GaussianRational, int, Fraction)):
-                return NotImplemented
-            other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, (GaussianRational, int, Fraction)):
-                return NotImplemented
-            other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return GaussianRational.coerce(other) - self
-
-    def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, (GaussianRational, int, Fraction)):
-                return NotImplemented
-            other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if type(other) is not GaussianRational:
-            if not isinstance(other, (GaussianRational, int, Fraction)):
-                return NotImplemented
-            other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        norm = c * c + d * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        # Fraction first: int / int would be a float.
-        return GaussianRational(
-            Fraction(a * c + b * d) / norm, Fraction(b * c - a * d) / norm
-        )
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        return _power(self, n, ONE)
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -133,8 +81,6 @@ class GaussianRational:
     __repr__ = __str__
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 #: Packed monomials (see ``Polynomial``): each symbol's shift, the field
@@ -160,22 +106,9 @@ def _pair(value) -> tuple[RationalLike, RationalLike]:
     """An ``int``, ``Fraction`` or ``GaussianRational`` as an (re, im) pair."""
     if type(value) is int:
         return value, 0
-    value = GaussianRational.coerce(value)
-    return value.re, value.im
-
-
-def _power(base, n: int, one):
-    """``base ** n`` by square-and-multiply, starting from ``one``."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return _exact(value, "coefficient"), 0
 
 
 class Polynomial:
@@ -188,9 +121,10 @@ class Polynomial:
     ``int``s, or of ``Fraction``s where needed (``1/(2x)``). Exponents stay
     below 2**15, so a sum of two never carries into the next field:
     ``__init__`` refuses a larger one, and a product that reaches 2**15 sets
-    that field's guard bit and raises ``ValueError``. ``GaussianRational``s
-    are built only at the API edge: ``constant``, ``leading``, ``evaluate``,
-    ``__str__`` and the read-only ``terms`` view.
+    that field's guard bit and raises ``ValueError``. The pair is the only
+    scalar arithmetic: ``GaussianRational``s are read at the API edge
+    (``constant``, ``__init__``) and built only for ``__str__`` and the
+    read-only ``terms`` view.
     """
 
     __slots__ = ("_terms",)
@@ -285,7 +219,16 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, _ONE)
+        if n < 0:
+            raise ValueError("negative power")
+        result, base = _ONE, self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
     def __eq__(self, other) -> bool:
         if type(other) is not Polynomial:
@@ -324,24 +267,21 @@ class Polynomial:
         shift = _SHIFTS[SYMBOLS.index(name)]
         return any((m >> shift) & _FIELD for m in self._terms)
 
-    def leading(self) -> tuple[tuple[int, ...], GaussianRational]:
-        """Lex-largest monomial (exponent tuples compare in the declared
-        symbol order) and its coefficient."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self._terms)
-        return _unpack(m), GaussianRational(*self._terms[m])
-
     def monomial_content(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms."""
         if self.is_zero():
             raise ValueError("zero polynomial has no content")
         return tuple(min((m >> s) & _FIELD for m in self._terms) for s in _SHIFTS)
 
-    def shift_down(self, content: tuple[int, ...]) -> "Polynomial":
-        """Divide by the monomial ``content``, which divides every term."""
+    def _shift_down(self, content: tuple[int, ...]) -> "Polynomial":
+        """Divide by the monomial ``content``; ``ValueError`` unless it
+        divides every term."""
         c = _pack(content)
-        return Polynomial._of({m - c: v for m, v in self._terms.items()})
+        terms = {m - c: v for m, v in self._terms.items()}
+        # A field that goes below 0 wraps to 2**15 or more: its guard bit.
+        if any(m & _GUARD for m in terms):
+            raise ValueError(f"monomial {content} does not divide {self}")
+        return Polynomial._of(terms)
 
     def _scale(self, factor: tuple[RationalLike, RationalLike]) -> "Polynomial":
         """``self`` times the constant whose (re, im) pair is ``factor``."""
@@ -381,21 +321,6 @@ class Polynomial:
             result = result + term
         return result
 
-    def evaluate(
-        self, assignment: Mapping[str, RationalLike | GaussianRational]
-    ) -> GaussianRational:
-        total = ZERO
-        for m, coeff in self._terms.items():
-            value = GaussianRational(*coeff)
-            for sym, e in zip(SYMBOLS, _unpack(m)):
-                if e == 0:
-                    continue
-                if sym not in assignment:
-                    raise KeyError(f"no value supplied for symbol {sym!r}")
-                value = value * GaussianRational.coerce(assignment[sym]) ** e
-            total = total + value
-        return total
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -434,7 +359,8 @@ class RationalFunction:
     Stored in normal form: the common monomial content of numerator and
     denominator cancelled and the denominator's lex-leading coefficient
     normalized to 1 (so zero is 0/1 and a constant's denominator is 1).
-    ``__init__`` brings any pair to this form, and normalising a pair already
+    ``__init__`` brings any pair to this form, dividing by that leading
+    coefficient on its (re, im) pair, and normalising a pair already
     in it changes nothing. So the operations whose result is already normal
     skip the normalisation and build it with ``_of``:
 
@@ -470,11 +396,14 @@ class RationalFunction:
             dc = den.monomial_content()
             common = tuple(min(a, b) for a, b in zip(nc, dc))
             if any(common):
-                num = num.shift_down(common)
-                den = den.shift_down(common)
+                num = num._shift_down(common)
+                den = den._shift_down(common)
         lead = den._terms[max(den._terms)]
         if lead != (1, 0):
-            inv = _pair(ONE / GaussianRational(*lead))
+            # 1/(a + b*i) = (a - b*i)/(a^2 + b^2)
+            a, b = lead
+            norm = a * a + b * b
+            inv = _exact(Fraction(a, norm)), _exact(Fraction(-b, norm))
             num = num._scale(inv)
             den = den._scale(inv)
         object.__setattr__(self, "num", num)
@@ -565,9 +494,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return RationalFunction.coerce(other) / self
-
     def power(self, n: int) -> "RationalFunction":
         if n < 0:
             return RationalFunction(self.den, self.num).power(-n)
@@ -630,10 +556,14 @@ class RationalFunction:
     def evaluate(
         self, assignment: Mapping[str, RationalLike | GaussianRational]
     ) -> GaussianRational:
-        den = self.den.evaluate(assignment)
-        if not den:
-            raise ZeroDivisionError("denominator vanishes at the sample point")
-        return self.num.evaluate(assignment) / den
+        """The value at a point: each symbol that occurs is replaced by its
+        constant (``KeyError`` if it has none), and a pole raises
+        ``ZeroDivisionError``."""
+        value = self.substitute({
+            sym: RationalFunction.constant(assignment[sym])
+            for sym in SYMBOLS if self.contains(sym)
+        })
+        return GaussianRational(*value.num._constant())
 
     def __str__(self) -> str:
         if self.den == _ONE:

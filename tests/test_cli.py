@@ -108,6 +108,53 @@ class TestInputErrors:
         code, _, err = run(capsys, "realize", "--d", "1,2,3,-4")
         assert code == 2
 
+    def test_repeated_tau_slot(self, capsys):
+        code, out, err = run(
+            capsys, "h1", "--k", "1,2,3,4", "--tau", "1:1,0,0,1", "--tau", "1:1,1,0,1"
+        )
+        assert (code, out, err) == (2, "", "error: --tau gives slot 1 twice\n")
+
+
+class TestAsciiIntegers:
+    """An integer flag takes an optional sign and ASCII digits only; other
+    scripts' digits, spaces and underscores, all of which ``int()`` would
+    read, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("h1", "--k=\u0663,1,1,1"),
+            ("h1", "--k=\uff11,2,3,4"),
+            ("h1", "--k= 1,2,3,4"),
+            ("h1", "--k=1_0,2,3,4"),
+            ("h1", "--k=1,2,3,4", "--tau=\u0661:1,0,0,1"),
+            ("h1", "--k=1,2,3,4", "--tau=1:\u0661,0,0,1"),
+            ("realize", "--d=\u0663,1,1,1"),
+            ("verify-forms", "--k=\u0663"),
+            ("verify-forms", "--tau=\u0661,0,0,1"),
+            ("sweep", "--k-min=\u0660", "--k-max=0"),
+            ("sweep", "--k-min=0", "--k-max=\u0660"),
+            ("sweep", "--k-min=0", "--k-max=0", "--slot=\u0661"),
+            ("sweep", "--k-min=0", "--k-max=0", "--base-k=\u0660,0,0,0"),
+        ],
+        ids=repr,
+    )
+    def test_non_ascii_digits_exit_2(self, argv):
+        code, err = run_quiet(*argv)
+        assert code == 2
+        assert [line for line in err.splitlines() if "error: " in line] == [err.splitlines()[-1]]
+
+    @pytest.mark.parametrize(
+        "text, value", [("7", 7), ("+7", 7), ("-7", -7), ("-0", 0), ("007", 7)]
+    )
+    def test_sign_and_ascii_digits(self, text, value):
+        assert cli.integer(text) == value
+
+    @pytest.mark.parametrize("text", ["", "+", "--1", "1.0", "1e3", "7\n", "\u0667"])
+    def test_anything_else_refused(self, text):
+        with pytest.raises(ValueError):
+            cli.integer(text)
+
 
 class TestStrictDescriptorInput:
     """Descriptor and tau files take JSON integers only: no bool, float or
@@ -466,9 +513,12 @@ class TestDeterminism:
 FIELDS = st.lists(
     st.one_of(st.integers(-50, 50).map(str), st.text(max_size=4)), max_size=6
 ).map(",".join)
+# Decimal digits of every script, which int() would read as integers.
+DIGITS = st.text(st.characters(categories=("Nd",)), min_size=1, max_size=3)
 FLAG_TEXT = st.one_of(
     st.text(max_size=20),
     FIELDS,
+    st.lists(DIGITS, min_size=1, max_size=4).map(",".join),
     st.sampled_from(("1,2,3,4", "0,-1,1,0", "2,3,1,2", "1:2,3,1,2")),
 )
 JSON_VALUE = st.recursive(

@@ -42,6 +42,7 @@ from torus_surgery.verification import (
     twist_coframe,
 )
 
+from gaussian_oracle import ONE, ZERO, add, mul, pairs, plain_evaluate
 from matrix_oracles import int_determinant, int_mat_mul, small_matrices
 from twisted_oracle import metric
 
@@ -65,12 +66,12 @@ def _inversion_sign(word):
 
 
 def naive_product(*factor_term_lists):
-    """Multiply forms given as lists of (GaussianRational, generator names),
-    reducing by antisymmetry at the very end."""
-    words = [(GaussianRational(1), ())]
+    """Multiply forms given as lists of ((re, im), generator names),
+    reducing by antisymmetry at the very end; values are GaussianRationals."""
+    words = [(ONE, ())]
     for factors in factor_term_lists:
         words = [
-            (c0 * c1, w0 + tuple(names))
+            (mul(c0, c1), w0 + tuple(names))
             for c0, w0 in words
             for c1, *names in factors
         ]
@@ -80,9 +81,14 @@ def naive_product(*factor_term_lists):
         if len(set(indices)) != len(indices):
             continue
         key = tuple(sorted(indices))
-        signed = coeff * _inversion_sign(indices)
-        reduced[key] = reduced.get(key, GaussianRational(0)) + signed
-    return {k: v for k, v in reduced.items() if v}
+        signed = mul(coeff, (_inversion_sign(indices), 0))
+        reduced[key] = add(reduced.get(key, ZERO), signed)
+    return {k: GaussianRational(*v) for k, v in reduced.items() if v != ZERO}
+
+
+def gaussian_terms(*factors):
+    """``Form.from_terms`` of factors whose coefficients are (re, im) pairs."""
+    return Form.from_terms(*((GaussianRational(*c), *names) for c, *names in factors))
 
 
 def small_forms():
@@ -167,11 +173,7 @@ class TestWedge:
 
     def test_top_power_against_naive_expansion(self):
         omega = standard_symplectic_form()
-        omega_terms = [
-            (GaussianRational(1), "dx", "dz"),
-            (GaussianRational(1), "dw", "dy"),
-            (GaussianRational(1), "ds1", "ds2"),
-        ]
+        omega_terms = [(ONE, "dx", "dz"), (ONE, "dw", "dy"), (ONE, "ds1", "ds2")]
         expected = naive_product(omega_terms, omega_terms, omega_terms)
         cubed = omega.wedge_power(3)
         assert set(cubed.terms) == set(expected)
@@ -190,13 +192,13 @@ class TestWedge:
             for _ in range(3):
                 terms = [
                     (
-                        GaussianRational(rng.randint(-4, 4)),
+                        (rng.randint(-4, 4), rng.randint(-2, 2)),
                         *rng.sample(GENERATORS, rng.randint(1, 2)),
                     )
                     for _ in range(2)
                 ]
                 factor_lists.append(terms)
-            forms = [Form.from_terms(*t) for t in factor_lists]
+            forms = [gaussian_terms(*t) for t in factor_lists]
             product = forms[0].wedge(forms[1]).wedge(forms[2])
             expected = naive_product(*factor_lists)
             assert product == Form(
@@ -473,7 +475,7 @@ class TestCompatibility:
         # h[0][0] = g[0][0]/(1 + x)^2 is positive wherever it is defined,
         # but its denominator has an odd monomial, so it is not certified.
         basis = mat_identity(6)
-        basis[0][0] = 1 / (1 + RationalFunction.variable("x"))
+        basis[0][0] = RationalFunction.constant(1) / (1 + RationalFunction.variable("x"))
         assert _positivity_failures(self._congruent_metric(basis)) == [
             "minor 1 not certified: (1 + y^2*k^2*f^2)/(1 + 2*x + x^2)"
         ]
@@ -555,8 +557,8 @@ class TestPositivityCertificate:
     def test_accepted_and_at_least_the_constant_term(self, terms, point):
         poly = Polynomial(terms)
         assert certified_positive(poly)
-        value = poly.evaluate(point)
-        assert value.is_real() and value.re >= terms[CONSTANT] > 0
+        re, im = plain_evaluate(pairs(poly), SYMBOLS, point)
+        assert im == 0 and re >= terms[CONSTANT] > 0
 
     @given(certified_polynomials(), st.data())
     @settings(max_examples=40, deadline=None)

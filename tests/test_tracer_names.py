@@ -3,11 +3,12 @@ deleting a traced function fails here rather than in a traced benchmark run."""
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from torus_surgery import surgery
+from torus_surgery import coefficients, lattice, surgery
 from torus_surgery.forms import Region, compatibility_check
 from torus_surgery.verification import (
     almost_complex_structure,
@@ -69,3 +70,32 @@ def test_report_relations_and_sweep_counts_suit_the_hooks():
     classes = surgery.sweep(range(-1, 2), [surgery.SL2Z.identity(), shear])
     assert classes
     assert all(type(c.count) is int for c in classes)
+
+
+def test_object_counter_targets_resolve():
+    # The counter wraps GaussianRational's own __init__, Fraction.__new__
+    # and lattice.intersect wherever the package binds it.
+    assert "__init__" in vars(coefficients.GaussianRational)
+    assert callable(lattice.intersect)
+    original = lattice.intersect
+    counter = TRACER.ObjectCounter()
+    counter.install()
+    try:
+        assert lattice.intersect is not original
+        coefficients.GaussianRational(1, 2)
+        Fraction(1, 3)
+    finally:
+        counter.uninstall()
+    assert lattice.intersect is original
+    assert counter.counts["coefficients.gaussian.created"] == 1
+    assert counter.counts["coefficients.fraction.created"] >= 1
+
+
+def test_normalise_hook_reads_term_counts():
+    # The size hook runs after every RationalFunction.__init__ and reads
+    # the term counts of its num and den views.
+    x, y = (coefficients.Polynomial.variable(s) for s in ("x", "y"))
+    rf = coefficients.RationalFunction(x * x - y * y, 2 * x * x + y)
+    tracer = TRACER.Tracer()
+    tracer._hooks()["coefficients.rational.normalise"]((rf,), None)
+    assert tracer.maxima["coefficients.rational.terms_max"] == 4

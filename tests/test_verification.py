@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_surgery.coefficients import GaussianRational, Polynomial, RationalFunction
+from torus_surgery.coefficients import SYMBOLS, Polynomial, RationalFunction
 from torus_surgery.forms import (
     Form,
     LinearOperator,
@@ -37,6 +37,7 @@ from torus_surgery.verification import (
     almost_complex_structure,
 )
 
+from gaussian_oracle import ONE, ZERO, add, div, mul, pairs, plain_evaluate
 from twisted_oracle import criterion6_twists, direct_theorem5, twisted_metric, verdicts
 
 
@@ -111,22 +112,28 @@ def positivity_samples(k):
 
 def cofactor_determinant(matrix):
     """Laplace expansion along the first remaining row, memoised on the
-    columns still available."""
+    columns still available; entries are (re, im) pairs."""
     n = len(matrix)
 
     @functools.cache
     def det(cols):
         row = n - len(cols)
         if not cols:
-            return GaussianRational(1)
-        total = GaussianRational(0)
+            return ONE
+        total = ZERO
         for pos, col in enumerate(cols):
-            if matrix[row][col]:
+            if matrix[row][col] != ZERO:
                 sign = -1 if pos % 2 else 1
-                total = total + sign * matrix[row][col] * det(cols[:pos] + cols[pos + 1:])
+                term = mul(matrix[row][col], det(cols[:pos] + cols[pos + 1:]))
+                total = add(total, mul((sign, 0), term))
         return total
 
     return det(tuple(range(n)))
+
+
+def sample_value(entry, sample):
+    """A rational function's value at ``sample``, as an (re, im) pair."""
+    return div(*(plain_evaluate(pairs(p), SYMBOLS, sample) for p in (entry.num, entry.den)))
 
 
 def sampled_positivity_residual(metric, samples):
@@ -134,14 +141,14 @@ def sampled_positivity_residual(metric, samples):
     non-real or <= 0; empty when every minor is positive at every sample."""
     failures = []
     for sample in samples:
-        values = [[entry.evaluate(sample) for entry in row] for row in metric]
+        values = [[sample_value(entry, sample) for entry in row] for row in metric]
         for m in range(1, len(values) + 1):
-            minor = cofactor_determinant([row[:m] for row in values[:m]])
-            if not minor.is_real():
+            re, im = cofactor_determinant([row[:m] for row in values[:m]])
+            if im != 0:
                 failures.append(f"minor {m} at {sample}: non-real minor")
                 break
-            if minor.re <= 0:
-                failures.append(f"minor {m} at {sample}: {minor.re}")
+            if re <= 0:
+                failures.append(f"minor {m} at {sample}: {re}")
                 break
     return "; ".join(failures)
 
