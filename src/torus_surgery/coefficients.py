@@ -118,7 +118,9 @@ class Polynomial:
     A monomial is one ``int``, 16 bits per symbol with x highest, so integer
     order is lex order, a monomial product is one addition and "all
     exponents even" is one AND. A coefficient is an (re, im) pair of
-    ``int``s, or of ``Fraction``s where needed (``1/(2x)``). Exponents stay
+    ``int``s, or of ``Fraction``s where needed (``1/(2x)``); a sum or
+    product of ``Fraction`` parts may hold an integral ``Fraction``, which
+    is equal and hashes alike to its ``int``. Exponents stay
     below 2**15, so a sum of two never carries into the next field:
     ``__init__`` refuses a larger one, and a product that reaches 2**15 sets
     that field's guard bit and raises ``ValueError``. The pair is the only
@@ -267,22 +269,6 @@ class Polynomial:
         shift = _SHIFTS[SYMBOLS.index(name)]
         return any((m >> shift) & _FIELD for m in self._terms)
 
-    def monomial_content(self) -> tuple[int, ...]:
-        """Componentwise minimum exponent over all terms."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no content")
-        return tuple(min((m >> s) & _FIELD for m in self._terms) for s in _SHIFTS)
-
-    def _shift_down(self, content: tuple[int, ...]) -> "Polynomial":
-        """Divide by the monomial ``content``; ``ValueError`` unless it
-        divides every term."""
-        c = _pack(content)
-        terms = {m - c: v for m, v in self._terms.items()}
-        # A field that goes below 0 wraps to 2**15 or more: its guard bit.
-        if any(m & _GUARD for m in terms):
-            raise ValueError(f"monomial {content} does not divide {self}")
-        return Polynomial._of(terms)
-
     def _scale(self, factor: tuple[RationalLike, RationalLike]) -> "Polynomial":
         """``self`` times the constant whose (re, im) pair is ``factor``."""
         if factor == (1, 0):
@@ -356,29 +342,16 @@ def certified_positive(poly: Polynomial) -> bool:
 class RationalFunction:
     """Quotient of two polynomials, the coefficient field for forms.
 
-    Stored in normal form: the common monomial content of numerator and
-    denominator cancelled and the denominator's lex-leading coefficient
-    normalized to 1 (so zero is 0/1 and a constant's denominator is 1).
-    ``__init__`` brings any pair to this form, dividing by that leading
-    coefficient on its (re, im) pair, and normalising a pair already
-    in it changes nothing. So the operations whose result is already normal
-    skip the normalisation and build it with ``_of``:
-
-    - a constant or a polynomial is itself over 1;
-    - ``x + 0`` and ``0 + x`` return ``x``, and a sum of two polynomials is
-      their sum over 1;
-    - a product of two polynomials is their product over 1, since a
-      denominator of 1 has no monomial content and leading coefficient 1;
-    - a product with a constant c is zero, ``x`` or ``(c*num)/den``, since
-      scaling by a nonzero c moves neither content nor the denominator;
-    - ``-x`` is ``(-num)/den``;
-    - ``x.power(n)`` for n >= 0 is ``num**n / den**n``: the monomial content
-      of a product is the sum of the factors' contents and its lex-leading
-      term is the product of theirs, so no content is shared and the leading
-      coefficient stays 1.
-
-    Each returns the pair that the general formula gives after
-    normalisation; ``tests/test_coefficients.py`` checks that it does.
+    The one invariant: the denominator's lex-leading coefficient is 1, and
+    zero is 0/1. Nothing is cancelled, so ``RationalFunction(x^2, x^3)``
+    keeps that pair; it still equals 1/x. ``__init__`` reaches the
+    invariant by dividing both sides by that leading coefficient on its
+    (re, im) pair; only the public constructor and division (``/``,
+    ``power(n < 0)``, ``substitute``) call it. The packed order is a
+    monomial order, so the lead of a product is the product of the leads,
+    and ``+``, ``-``, ``*``, ``power(n >= 0)``, ``derivative`` and scaling
+    by a nonzero constant keep monic denominators monic: they build their
+    result with ``_of``, and a numerator that cancels gives the shared zero.
 
     Equality is decided by cross-multiplication, so no multivariate gcd is
     ever needed. ``num`` and ``den`` share ``Polynomial``'s 2**15 limit.
@@ -391,21 +364,19 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = _ONE
-        else:
-            nc = num.monomial_content()
-            dc = den.monomial_content()
-            common = tuple(min(a, b) for a, b in zip(nc, dc))
-            if any(common):
-                num = num._shift_down(common)
-                den = den._shift_down(common)
         lead = den._terms[max(den._terms)]
         if lead != (1, 0):
             # 1/(a + b*i) = (a - b*i)/(a^2 + b^2)
             a, b = lead
             norm = a * a + b * b
             inv = _exact(Fraction(a, norm)), _exact(Fraction(-b, norm))
-            num = num._scale(inv)
-            den = den._scale(inv)
+            # A scaled part may come out an integral Fraction: hold it as an int.
+            num, den = (
+                Polynomial._of({
+                    m: (_exact(re), _exact(im)) for m, (re, im) in p._scale(inv)._terms.items()
+                })
+                for p in (num, den)
+            )
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -454,11 +425,8 @@ class RationalFunction:
             return self
         if self.num.is_zero():
             return other
-        if self.den._constant() is not None and other.den._constant() is not None:
-            return RationalFunction._of(self.num + other.num, _ONE)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        num = self.num * other.den + other.num * self.den
+        return RationalFunction._of(num, self.den * other.den) if num._terms else _ZERO
 
     __radd__ = __add__
 
@@ -482,9 +450,7 @@ class RationalFunction:
         factor = self._constant()
         if factor is not None:
             return other._scale(factor)
-        if self.den._constant() is not None and other.den._constant() is not None:
-            return RationalFunction._of(self.num * other.num, _ONE)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction._of(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -517,16 +483,15 @@ class RationalFunction:
         return bool(self.num._terms)
 
     def _constant(self) -> tuple[RationalLike, RationalLike] | None:
-        """The (re, im) value of a constant, or ``None``; a normal-form
-        constant has denominator 1."""
+        """The (re, im) value of a polynomial constant (denominator 1), or
+        ``None``; a quotient such as x/x is not read as one."""
         if self.den._constant() is None:
             return None
         return self.num._constant()
 
     def _scale(self, factor: tuple[RationalLike, RationalLike]) -> "RationalFunction":
-        """``self`` times the constant whose (re, im) pair is ``factor``:
-        scaling the numerator by a nonzero constant moves neither its
-        monomial content nor the denominator."""
+        """``self`` times the constant whose (re, im) pair is ``factor``,
+        which scales the numerator and leaves the monic denominator."""
         if factor == (0, 0):
             return _ZERO
         if factor == (1, 0):
@@ -539,9 +504,8 @@ class RationalFunction:
     def derivative(self, name: str) -> "RationalFunction":
         # Quotient rule, exactly.
         n, d = self.num, self.den
-        return RationalFunction(
-            n.derivative(name) * d - n * d.derivative(name), d * d
-        )
+        num = n.derivative(name) * d - n * d.derivative(name)
+        return RationalFunction._of(num, d * d) if num._terms else _ZERO
 
     def substitute(
         self, assignment: Mapping[str, "RationalFunction"]

@@ -470,7 +470,9 @@ def compatibility_check(
     Every entry of g must have real coefficients, and each leading
     principal minor of g needs a positive multiple whose numerator and
     denominator pass ``certified_positive``. The rule is sufficient, not
-    necessary: what it cannot certify fails.
+    necessary: what it cannot certify fails. It judges the pair a minor is
+    held as, with nothing cancelled, so a minor whose numerator and
+    denominator share a monomial factor can fail; no CLI path builds one.
     """
     op = operator.in_region(region)
     om = omega.in_region(region)

@@ -29,9 +29,6 @@ class Root8:
     def __post_init__(self):
         object.__setattr__(self, "exponent", self.exponent % 8)
 
-    def __mul__(self, other: "Root8") -> "Root8":
-        return Root8(self.exponent + other.exponent)
-
     def __str__(self) -> str:
         names = {0: "1", 2: "i", 4: "-1", 6: "-i"}
         return names.get(self.exponent, f"zeta8^{self.exponent}")
@@ -148,13 +145,9 @@ def embedding_catalog() -> tuple[EmbeddedTorus, ...]:
     )
 
 
-def three_torus_catalog(corrupt_w8: bool = False) -> tuple[CoordinateSubtorus, ...]:
+def three_torus_catalog() -> tuple[CoordinateSubtorus, ...]:
     """The ten coordinate 3-tori with the first coordinate free, fixed
-    values all -1.
-
-    corrupt_w8 swaps one fixed value of the eighth torus to +1; it exists
-    only as a negative control for the certificate tests.
-    """
+    values all -1."""
     free_sets = [
         {1, 2, 4},
         {1, 2, 3},
@@ -167,13 +160,10 @@ def three_torus_catalog(corrupt_w8: bool = False) -> tuple[CoordinateSubtorus, .
         {1, 4, 6},
         {1, 5, 6},
     ]
-    catalog = []
-    for idx, free in enumerate(free_sets):
-        fixed = {c: MINUS_ONE for c in set(COORDINATES) - free}
-        if corrupt_w8 and idx == 7:
-            fixed[3] = ONE
-        catalog.append(CoordinateSubtorus.make(free, fixed))
-    return tuple(catalog)
+    return tuple(
+        CoordinateSubtorus.make(free, {c: MINUS_ONE for c in set(COORDINATES) - free})
+        for free in free_sets
+    )
 
 
 def circle_class(circle: CoordinateSubtorus, torus: EmbeddedTorus) -> list[int]:

@@ -17,6 +17,7 @@ from torus_surgery.lattice import (
     complement_betti,
     CoordinateSubtorus,
     MINUS_ONE,
+    ONE,
     embedding_catalog,
     find_dual_torus,
     is_dual_torus,
@@ -235,8 +236,11 @@ def test_criterion_09_negative_controls():
     """Each single-formula corruption must break a check."""
     controls = negative_control_reports("symbolic")
     corrupted_catalog_detected = False
+    # The eighth 3-torus with its fixed value at coordinate 3 set to +1.
+    tori = list(three_torus_catalog())
+    tori[7] = CoordinateSubtorus.make(tori[7].free, {**tori[7].fixed_map, 3: ONE})
     try:
-        lemma_matrix(three_tori=three_torus_catalog(corrupt_w8=True))
+        lemma_matrix(three_tori=tori)
     except ValueError:
         corrupted_catalog_detected = True
     ok = (

@@ -1,5 +1,6 @@
 """Ring and field laws for the exact coefficient arithmetic."""
 
+import operator
 from decimal import Decimal
 from fractions import Fraction
 
@@ -288,16 +289,6 @@ class TestPolynomial:
         with pytest.raises(KeyError):
             RationalFunction.variable("k").evaluate({"x": 1})
 
-    def test_shift_down_refuses_a_monomial_that_does_not_divide(self):
-        x, y = Polynomial.variable("x"), Polynomial.variable("y")
-        with pytest.raises(ValueError, match="does not divide"):
-            y._shift_down((1, 0, 0, 0))
-        with pytest.raises(ValueError, match="does not divide"):
-            (x * y + x * x)._shift_down((1, 1, 0, 0))
-        top = Polynomial({(2**15 - 1,) * len(SYMBOLS): 1})
-        assert top._shift_down((2**15 - 1,) * len(SYMBOLS)) == 1
-        assert (x * x * y + x * y)._shift_down((1, 1, 0, 0)) == x + 1
-
 
 class TestRationalFunction:
     def test_zero_denominator_rejected(self):
@@ -312,11 +303,14 @@ class TestRationalFunction:
         b = RationalFunction.from_polynomial(x + y)
         assert a == b
 
-    def test_monomial_content_cancelled(self):
+    def test_monomial_content_kept(self):
+        # Nothing is cancelled: the pair stays (x^2)/(x^3), equal to 1/x.
         x = Polynomial.variable("x")
         r = RationalFunction(x * x, x * x * x)
-        assert r.num == Polynomial.constant(1)
-        assert r.den == x
+        assert r.num == x * x
+        assert r.den == x * x * x
+        assert str(r) == "(x^2)/(x^3)"
+        assert r == RationalFunction(Polynomial.constant(1), x)
 
     def test_denominator_leading_coefficient_one(self):
         x = Polynomial.variable("x")
@@ -408,6 +402,15 @@ def ref_one():
     return ref_poly({(0,) * len(SYMBOLS): 1})
 
 
+def ref_derivative(p, name):
+    i = SYMBOLS.index(name)
+    return packed({
+        e[:i] + (e[i] - 1,) + e[i + 1:]: (c * e[i], d * e[i])
+        for e, (c, d) in pairs(p).items()
+        if e[i]
+    })
+
+
 def ref_rational(value):
     """``value`` (a rational function or a scalar) as a normalised pair."""
     if isinstance(value, RationalFunction):
@@ -453,6 +456,15 @@ def assert_same_pair(got, want):
     assert got.num.terms == want.num.terms
     assert got.den.terms == want.den.terms
     assert str(got) == str(want)
+    assert_monic(got)
+
+
+def assert_monic(r):
+    """The normal form: a lex-leading denominator coefficient of 1, and
+    zero as 0/1."""
+    den = pairs(r.den)
+    assert den[max(den)] == (1, 0)
+    assert r or den == {(0,) * len(SYMBOLS): (1, 0)}
 
 
 class TestShortCutsMatchGeneralFormula:
@@ -460,8 +472,13 @@ class TestShortCutsMatchGeneralFormula:
     formula, and no operation changes an operand or a shared constant."""
 
     @settings(max_examples=150, deadline=None)
-    @given(rational_operands(), operands(), st.integers(min_value=-3, max_value=3))
-    def test_operations(self, a, b, n):
+    @given(
+        rational_operands(),
+        operands(),
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from(SYMBOLS),
+    )
+    def test_operations(self, a, b, n, name):
         zero = RationalFunction.zero()
         before = [snapshot(a), snapshot(b), snapshot(zero)]
         ra, rb = ref_rational(a), ref_rational(b)
@@ -476,6 +493,11 @@ class TestShortCutsMatchGeneralFormula:
         assert_same_pair(a * b, product)
         assert_same_pair(b * a, product)
         assert_same_pair(-a, RationalFunction(ref_neg(ra.num), ra.den))
+        quotient_rule = ref_add(
+            ref_mul(ref_derivative(ra.num, name), ra.den),
+            ref_neg(ref_mul(ra.num, ref_derivative(ra.den, name))),
+        )
+        assert_same_pair(a.derivative(name), RationalFunction(quotient_rule, ref_mul(ra.den, ra.den)))
         if rb.is_zero():
             with pytest.raises(ZeroDivisionError):
                 a / b
@@ -509,6 +531,27 @@ class TestShortCutsMatchGeneralFormula:
         assert RationalFunction.zero().num.terms == {}
         assert RationalFunction.zero().den.terms == {(0,) * len(SYMBOLS): 1}
         assert total == 3 * x
+
+    def test_ring_operations_never_normalise(self, monkeypatch):
+        # The lead of a product is the product of the leads, so monic
+        # denominators stay monic and no result goes through __init__.
+        x, y, k = (Polynomial.variable(s) for s in ("x", "y", "k"))
+        values = [
+            RationalFunction(k * x, x * x + y * y),
+            RationalFunction(I * y + 1, 2 * x * x + 3 * k),
+            RationalFunction.from_polynomial(x - k),
+            RationalFunction.constant(GaussianRational(2, 1)),
+        ]
+        calls = count_inits(monkeypatch, RationalFunction)
+        results = []
+        for a in values:
+            results += [a.power(0), a.power(3), a.derivative("x"), a.derivative("f")]
+            results += [a * 3, I * a, a * Fraction(1, 2), -a, a - a]
+            results += [op(a, b) for b in values for op in (operator.add, operator.sub, operator.mul)]
+        monkeypatch.undo()
+        assert calls == []
+        for r in results:
+            assert_monic(r)
 
 
 class TestHashAgreesWithEquality:
@@ -620,7 +663,6 @@ class TestPackedKernelOracle:
             if e[i]
         }
         if p:
-            assert a.monomial_content() == tuple(map(min, zip(*p)))
             # Normalising 1/a divides by a's lex-leading coefficient, so the
             # packed order must be the exponent tuples' order.
             inverse = div((1, 0), p[max(p)])
@@ -633,7 +675,7 @@ class TestPackedKernelOracle:
         a = 3 * x * x + I * y + Fraction(1, 2) * k
         b = GaussianRational(2, -1) * x * y - 5 * k + 7
         want = plain_mul(unpacked(a), unpacked(b))
-        calls = count_gaussian_rationals(monkeypatch)
+        calls = count_inits(monkeypatch, GaussianRational)
         product = a * b
         monkeypatch.undo()
         assert calls == []
@@ -644,23 +686,25 @@ class TestPackedKernelOracle:
         # on its (re, im) pair, with no GaussianRational built.
         one = Polynomial.constant(1)
         den = GaussianRational(2, 1) * Polynomial.variable("x")
-        calls = count_gaussian_rationals(monkeypatch)
+        calls = count_inits(monkeypatch, GaussianRational)
         r = RationalFunction(one, den)
         monkeypatch.undo()
         assert calls == []
         assert unpacked(r.den) == {(1, 0, 0, 0): (1, 0)}
         assert unpacked(r.num) == {(0,) * len(SYMBOLS): (Fraction(2, 5), Fraction(-1, 5))}
+        # The kernel holds an integral part as an int, not as Fraction(1, 1).
+        assert [type(part) for pair in r.den._terms.values() for part in pair] == [int, int]
 
 
-def count_gaussian_rationals(monkeypatch):
-    """Record the arguments of every ``GaussianRational`` built from now
+def count_inits(monkeypatch, cls):
+    """Record the arguments of every call of ``cls.__init__`` from now
     until ``monkeypatch.undo()``."""
     calls = []
-    original = GaussianRational.__init__
+    original = cls.__init__
 
     def counting(self, *args):
         calls.append(args)
         original(self, *args)
 
-    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return calls

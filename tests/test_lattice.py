@@ -18,7 +18,6 @@ from torus_surgery.lattice import (
     PRIMITIVE,
     AbelianGroup,
     CoordinateSubtorus,
-    Root8,
     complement_betti,
     circle_class,
     embedding_catalog,
@@ -41,12 +40,6 @@ from matrix_oracles import (
 
 
 class TestRoot8:
-    def test_multiplication_wraps(self):
-        assert IMAG * IMAG == MINUS_ONE
-        assert MINUS_ONE * MINUS_ONE == ONE
-        assert PRIMITIVE * PRIMITIVE == IMAG
-        assert Root8(7) * PRIMITIVE == ONE
-
     def test_presentation(self):
         assert str(ONE) == "1"
         assert str(MINUS_IMAG) == "-i"
@@ -146,8 +139,11 @@ class TestLemmaMatrix:
         assert matrix[4] == [0, 0, 0, 0] + [0, 0, 0, 1] + [0, 0, 1, 0] + [0, 0, 0, 0]
 
     def test_corrupted_catalog_is_non_transverse(self):
+        # The eighth 3-torus with its fixed value at coordinate 3 set to +1.
+        tori = list(three_torus_catalog())
+        tori[7] = CoordinateSubtorus.make(tori[7].free, {**tori[7].fixed_map, 3: ONE})
         with pytest.raises(ValueError):
-            lemma_matrix(three_tori=three_torus_catalog(corrupt_w8=True))
+            lemma_matrix(three_tori=tori)
 
     def test_rank_invariant_under_row_negation(self):
         rng = random.Random(11)
