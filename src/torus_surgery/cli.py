@@ -76,7 +76,7 @@ def _descriptor_from_args(args) -> surgery.SurgeryDescriptor:
             data = json.loads(Path(args.descriptor).read_text())
             return surgery.SurgeryDescriptor.from_json(data)
         except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-            raise InputError(f"bad descriptor file {args.descriptor}: {exc}")
+            raise InputError(f"bad descriptor file {args.descriptor!r}: {exc}")
     if args.k is None:
         raise InputError("provide --k or a descriptor file")
     ks = _parse_ints(args.k, "--k")
@@ -144,7 +144,7 @@ def cmd_verify_forms(args) -> int:
     ok = all(r.passed for r in reports)
     controls = {}
     if args.negative_controls:
-        controls = verification.negative_control_reports(k)
+        controls = verification.negative_control_reports(k, tau)
         ok = ok and all(not r.passed for r in controls.values())
     if args.json:
         document = {
@@ -207,9 +207,9 @@ def _load_tau_file(path: str | None) -> list[surgery.SL2Z]:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:
-        raise InputError(f"bad tau file {path}: {exc}")
+        raise InputError(f"bad tau file {path!r}: {exc}")
     if not isinstance(data, list):
-        raise InputError(f"bad tau file {path}: expected a JSON list of matrices")
+        raise InputError(f"bad tau file {path!r}: expected a JSON list of matrices")
     # A repeated twist would count each of its descriptors more than once.
     first_index: dict[surgery.SL2Z, int] = {}
     for index, entry in enumerate(data):
@@ -242,7 +242,7 @@ def cmd_sweep(args) -> int:
             with open(args.out, "w") as out:
                 out.writelines(lines)
         except OSError as exc:
-            raise InputError(f"cannot write {args.out}: {exc}")
+            raise InputError(f"cannot write {args.out!r}: {exc}")
     else:
         sys.stdout.writelines(lines)
         sys.stdout.flush()

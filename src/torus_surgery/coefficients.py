@@ -102,6 +102,13 @@ def _unpack(monomial: int) -> tuple[int, ...]:
     return tuple((monomial >> s) & _FIELD for s in _SHIFTS)
 
 
+def parenthesised(value) -> str:
+    """``str(value)`` inside one pair of parentheses; a non-real constant
+    such as ``(1+1*i)`` prints inside its own pair already."""
+    text = str(value)
+    return text if text[0] == "(" and text.find(")") == len(text) - 1 else f"({text})"
+
+
 def _pair(value) -> tuple[RationalLike, RationalLike]:
     """An ``int``, ``Fraction`` or ``GaussianRational`` as an (re, im) pair."""
     if type(value) is int:
@@ -532,7 +539,7 @@ class RationalFunction:
     def __str__(self) -> str:
         if self.den == _ONE:
             return str(self.num)
-        return f"({self.num})/({self.den})"
+        return f"{parenthesised(self.num)}/{parenthesised(self.den)}"
 
     __repr__ = __str__
 

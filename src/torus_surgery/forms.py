@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Mapping, Sequence
 
-from .coefficients import Polynomial, RationalFunction, certified_positive
+from .coefficients import Polynomial, RationalFunction, certified_positive, parenthesised
 
 GENERATORS = ("dx", "dy", "dz", "dw", "ds1", "ds2")
 
@@ -225,12 +225,8 @@ class Form:
             return "0"
         pieces = []
         for key in sorted(self.terms, key=lambda k: (len(k), k)):
-            coeff = self.terms[key]
             gens = "^".join(GENERATORS[i] for i in key)
-            if not key:
-                pieces.append(f"({coeff})")
-            else:
-                pieces.append(f"({coeff})*{gens}")
+            pieces.append(parenthesised(self.terms[key]) + (f"*{gens}" if key else ""))
         return " + ".join(pieces)
 
     __repr__ = __str__
@@ -350,10 +346,6 @@ class CoframeMap:
             for key, coeff in image.terms.items():
                 matrix[key[0]][j] = coeff
         return cls(matrix)
-
-    @classmethod
-    def identity(cls):
-        return cls(mat_identity(len(GENERATORS)))
 
     def pullback(self, form: Form) -> Form:
         n = len(GENERATORS)

@@ -46,17 +46,14 @@ def standard_symplectic_form() -> Form:
     return Form.from_terms((1, "dx", "dz"), (1, "dw", "dy"), (1, "ds1", "ds2"))
 
 
-def correction_form(k: KParam, sign: int = 1) -> Form:
-    """alpha = -k*y*f dx^dy (sign flips it for the negative control)."""
-    kc = k_coefficient(k)
-    return Form.from_terms((-kc * Y * F * sign, "dx", "dy"))
+def correction_form(k: KParam) -> Form:
+    """alpha = -k*y*f dx^dy."""
+    return Form.from_terms((-k_coefficient(k) * Y * F, "dx", "dy"))
 
 
-def interpolated_form(k: KParam, corrupt_sign: bool = False) -> Form:
+def interpolated_form(k: KParam) -> Form:
     """omega-tilde = omega + alpha."""
-    return standard_symplectic_form() + correction_form(
-        k, -1 if corrupt_sign else 1
-    )
+    return standard_symplectic_form() + correction_form(k)
 
 
 def gluing_map(k: KParam) -> CoframeMap:
@@ -83,25 +80,18 @@ def _gluing_map(kc: RationalFunction) -> CoframeMap:
     )
 
 
-def almost_complex_structure(
-    k: KParam, drop_quadratic_term: bool = False
-) -> LinearOperator:
-    """The twisted almost complex structure on 1-forms, with f abstract.
-
-    drop_quadratic_term removes the (kxf)^2 dy contribution from the image
-    of dw; used as a negative control only.
-    """
+def almost_complex_structure(k: KParam) -> LinearOperator:
+    """The twisted almost complex structure on 1-forms, with f abstract."""
     kc = k_coefficient(k)
     kxf = kc * X * F
     kyf = kc * Y * F
-    quad = RationalFunction.zero() if drop_quadratic_term else kxf * kxf
     return LinearOperator.from_images(
         {
             "dx": Form.from_terms((-1, "dz")),
             "dz": Form.from_terms((1, "dx")),
             "dy": Form.from_terms((1, "dw"), (-kyf, "dx"), (kxf, "dy")),
             "dw": Form.from_terms(
-                (-(RationalFunction.constant(1) + quad), "dy"),
+                (-(RationalFunction.constant(1) + kxf * kxf), "dy"),
                 (kxf * kyf, "dx"),
                 (-kyf, "dz"),
                 (-kxf, "dw"),
@@ -224,14 +214,18 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def check_lemma2(k: KParam, corrupt_alpha_sign: bool = False) -> IdentityReport:
+def check_lemma2(k: KParam) -> IdentityReport:
     """Closedness and nondegeneracy of the interpolated form, and its
     agreement with the pulled-back form near the boundary."""
+    return _lemma2_report(k, interpolated_form(k))
+
+
+def _lemma2_report(k: KParam, omega_tilde: Form) -> IdentityReport:
+    """Lemma 2's claims with ``omega_tilde`` as the interpolated form."""
     report = IdentityReport("gluing-form-interpolation")
     phi = gluing_map(k)
     omega = standard_symplectic_form()
     alpha = correction_form(k)
-    omega_tilde = interpolated_form(k, corrupt_sign=corrupt_alpha_sign)
     kc = k_coefficient(k)
 
     # (a) pullback of each coordinate 1-form on the outer annulus
@@ -300,13 +294,9 @@ def check_lemma2(k: KParam, corrupt_alpha_sign: bool = False) -> IdentityReport:
     return report
 
 
-def check_theorem5(
-    k: KParam,
-    tau=None,
-    drop_quadratic_term: bool = False,
-) -> IdentityReport:
+def check_theorem5(k: KParam, tau) -> IdentityReport:
     """Almost complex structure, compatibility, canonical-bundle section,
-    and the pullback identities on the outer annulus, after an optional
+    and the pullback identities on the outer annulus, after a
     determinant-one coordinate twist tau of the torus directions.
 
     Claims (a)-(d) are proved once, in untwisted coordinates; the twisted
@@ -326,8 +316,12 @@ def check_theorem5(
     T*omega = omega, depends on tau. A failing claim of (a)-(d) reports its
     residual in untwisted coordinates.
     """
+    return _theorem5_report(k, tau, almost_complex_structure(k))
+
+
+def _theorem5_report(k: KParam, tau, j_k: LinearOperator) -> IdentityReport:
+    """Theorem 5's claims with ``j_k`` as the almost complex structure."""
     report = IdentityReport("canonical-class-vanishing")
-    j_k = almost_complex_structure(k, drop_quadratic_term)
     omega = standard_symplectic_form()
     omega_k = interpolated_form(k)
     section_k = canonical_section(k)
@@ -379,16 +373,23 @@ def check_theorem5(
     )
 
     # (e) determinant-one twists preserve the symplectic form
-    twist = CoframeMap.identity() if tau is None else twist_coframe(tau)
+    twist = twist_coframe(tau)
     report.add_form_claim(
         "(e) twist preserves the symplectic form", twist.pullback(omega), omega
     )
     return report
 
 
-def negative_control_reports(k: KParam = "symbolic") -> dict[str, IdentityReport]:
-    """Deliberately corrupted inputs; every report here must FAIL."""
+def negative_control_reports(k: KParam, tau) -> dict[str, IdentityReport]:
+    """Lemma 2's and theorem 5's claims on corrupted inputs, each of which
+    must FAIL: omega - alpha for omega + alpha, and J with the dy-coefficient
+    of J(dw), -1 - (kxf)^2, replaced by -1. Both corruptions carry a factor
+    k, so at k = 0 both inputs are the true ones and both reports pass."""
+    matrix = [row[:] for row in almost_complex_structure(k).matrix]
+    matrix[1][3] = RationalFunction.constant(-1)  # row dy, column dw
     return {
-        "alpha-sign-flip": check_lemma2(k, corrupt_alpha_sign=True),
-        "dropped-quadratic-term": check_theorem5(k, drop_quadratic_term=True),
+        "alpha-sign-flip": _lemma2_report(
+            k, standard_symplectic_form() - correction_form(k)
+        ),
+        "dropped-quadratic-term": _theorem5_report(k, tau, LinearOperator(matrix)),
     }

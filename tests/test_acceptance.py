@@ -29,6 +29,7 @@ from torus_surgery.lattice import (
 from torus_surgery.surgery import (
     OBSTRUCTED,
     UNKNOWN,
+    SL2Z,
     SurgeryDescriptor,
     h1,
     min_product_b2,
@@ -38,6 +39,7 @@ from torus_surgery.surgery import (
     report,
 )
 from torus_surgery.verification import (
+    almost_complex_structure,
     check_lemma2,
     check_theorem5,
     negative_control_reports,
@@ -183,7 +185,7 @@ def test_criterion_06_symbolic_structure():
     ok = True
     for tau in criterion6_twists():
         rep = check_theorem5("symbolic", tau)
-        direct = direct_theorem5("symbolic", tau)
+        direct = direct_theorem5("symbolic", tau, almost_complex_structure("symbolic"))
         ok = ok and rep.passed and verdicts(rep) == verdicts(direct)
     announce(6, "symbolic structure checks under 21 twists", ok)
 
@@ -234,7 +236,7 @@ def test_criterion_08_smith_normal_form():
 
 def test_criterion_09_negative_controls():
     """Each single-formula corruption must break a check."""
-    controls = negative_control_reports("symbolic")
+    controls = negative_control_reports("symbolic", SL2Z.identity())
     corrupted_catalog_detected = False
     # The eighth 3-torus with its fixed value at coordinate 3 set to +1.
     tori = list(three_torus_catalog())

@@ -115,6 +115,18 @@ class TestInputErrors:
         )
         assert (code, out, err) == (2, "", "error: --tau gives slot 1 twice\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("h1", "--descriptor"),
+        ("sweep", "--k-min", "0", "--k-max", "0", "--tau-file"),
+        ("sweep", "--k-min", "0", "--k-max", "0", "--out"),
+    ])
+    def test_path_with_newline_is_quoted(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "no\nerror: such")
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert repr(path) in err
+
 
 class TestAsciiIntegers:
     """An integer flag takes an optional sign and ASCII digits only; other
@@ -201,7 +213,7 @@ class TestStrictDescriptorInput:
         path.write_text("[" * 100000)
         code, out, err = run(capsys, "h1", "--descriptor", str(path))
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: bad descriptor file {path}: ")
+        assert err.startswith(f"error: bad descriptor file {str(path)!r}: ")
         assert "Traceback" not in err
 
     def test_deeply_nested_tau_file(self, capsys, tmp_path):
@@ -212,7 +224,7 @@ class TestStrictDescriptorInput:
             "--tau-file", str(path),
         )
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: bad tau file {path}: ")
+        assert err.startswith(f"error: bad tau file {str(path)!r}: ")
         assert "Traceback" not in err
 
     def test_repeated_tau_rejected(self, capsys, tmp_path):
@@ -265,7 +277,7 @@ class TestVerifyForms:
             [ClaimResult("forced failure", False, "residual-term")],
         )
         monkeypatch.setattr(
-            verification, "check_lemma2", lambda k, **kw: broken
+            verification, "check_lemma2", lambda k: broken
         )
         code, out, _ = run(capsys, "verify-forms", "--k", "2")
         assert code == 1
@@ -366,7 +378,7 @@ class TestSweep:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.startswith(f"error: cannot write {str(path)!r}: ")
         assert "Traceback" not in err
 
     def test_short_base_k_names_its_flag(self, capsys):
@@ -573,8 +585,14 @@ def not_integer(text):
 
 
 # Paths that exist, are a directory or are missing; none is a file that a
-# run could overwrite, since ``--out`` is only ever given these.
-SAFE_PATHS = st.sampled_from((os.devnull, str(GOLDEN), str(GOLDEN / "missing" / "out")))
+# run could overwrite, since ``--out`` is only ever given these. The last
+# would print a second ``error:`` line if an error message did not quote it.
+SAFE_PATHS = st.sampled_from((
+    os.devnull,
+    str(GOLDEN),
+    str(GOLDEN / "missing" / "out"),
+    str(GOLDEN / "missing" / "no\nerror: such"),
+))
 READ_PATHS = SAFE_PATHS | st.just(str(GOLDEN / "sweep_taus.json"))
 # Only cheap valid inputs: verify-forms at k = 0, and sweep grids of at
 # most 3**4 descriptors per twist or else over the limit.

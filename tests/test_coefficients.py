@@ -318,6 +318,12 @@ class TestRationalFunction:
         assert r.den.terms[max(r.den.terms)] == GaussianRational(1)
         assert str(r) == "(1/2)/(x)"
 
+    def test_non_real_constant_numerator_in_one_pair_of_parentheses(self):
+        x = Polynomial.variable("x")
+        r = RationalFunction(Polynomial.constant(1), GaussianRational(2, 1) * x)
+        assert str(r) == "(2/5-1/5*i)/(x)"
+        assert str(RationalFunction(x + GaussianRational(1, 1), x)) == "((1+1*i) + x)/(x)"
+
     @settings(max_examples=30)
     @given(polynomials(max_terms=2, max_exp=1), polynomials(max_terms=2, max_exp=1))
     def test_mutual_inverses(self, a, b):

@@ -129,6 +129,16 @@ def homogeneous_forms(degree):
     )
 
 
+class TestFormStr:
+    def test_each_coefficient_in_one_pair_of_parentheses(self):
+        x = RationalFunction.variable("x")
+        assert str(Form.from_terms((GaussianRational(1, 1), "dx"))) == "(1+1*i)*dx"
+        assert str(Form.from_terms((GaussianRational(1, 1),))) == "(1+1*i)"
+        assert str(Form.from_terms((I, "dx"), (2 * x, "dy", "dz"))) == "(1*i)*dx + (2*x)*dy^dz"
+        quotient = Form.from_terms((x / (x + 1), "dx"))
+        assert str(quotient) == "((x)/(1 + x))*dx"
+
+
 class TestWedge:
     def test_square_of_generator_vanishes(self):
         dx = Form.generator("dx")
@@ -272,7 +282,7 @@ class TestExteriorDerivative:
 class TestCoframeMap:
     def test_identity(self):
         omega = standard_symplectic_form()
-        assert CoframeMap.identity().pullback(omega) == omega
+        assert CoframeMap.from_images({}).pullback(omega) == omega
 
     def test_pullback_is_algebra_morphism(self):
         phi = gluing_map(3)
@@ -368,7 +378,7 @@ class TestLinearOperator:
 
     def test_conjugation_by_identity(self):
         jk = almost_complex_structure(1)
-        identity = CoframeMap.identity()
+        identity = CoframeMap.from_images({})
         assert jk.conjugate_by(identity, identity) == jk
 
     def test_pullback_functoriality(self):

@@ -3,11 +3,13 @@
 import functools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torus_surgery import verification
 from torus_surgery.coefficients import SYMBOLS, Polynomial, RationalFunction
 from torus_surgery.forms import (
     Form,
@@ -28,6 +30,7 @@ from torus_surgery.verification import (
     correction_form,
     eigenform_product,
     gluing_map,
+    k_coefficient,
     gluing_map_inverse,
     interpolated_form,
     negative_control_reports,
@@ -38,7 +41,15 @@ from torus_surgery.verification import (
 )
 
 from gaussian_oracle import ONE, ZERO, add, div, mul, pairs, plain_evaluate
-from twisted_oracle import criterion6_twists, direct_theorem5, twisted_metric, verdicts
+from twisted_oracle import (
+    criterion6_twists,
+    direct_theorem5,
+    dropped_quadratic_structure,
+    twisted_metric,
+    verdicts,
+)
+
+IDENTITY = SL2Z.identity()
 
 
 # The residual the sampled positivity claim gave for the dropped-quadratic-
@@ -155,16 +166,16 @@ def sampled_positivity_residual(metric, samples):
 
 class TestSamplingOracle:
     def test_reproduces_dropped_quadratic_residual(self):
-        metric = twisted_metric("symbolic", SL2Z.identity(), drop_quadratic_term=True)
+        metric = twisted_metric("symbolic", IDENTITY, dropped_quadratic_structure("symbolic"))
         residual = sampled_positivity_residual(metric, positivity_samples("symbolic"))
         assert residual == DROPPED_QUADRATIC_POSITIVITY_RESIDUAL
         assert residual.count("minor ") == 14
 
     def test_certified_metrics_positive_at_every_sample(self):
-        for tau in (SL2Z.identity(), SL2Z(2, 3, 1, 2)):
+        for tau in (IDENTITY, SL2Z(2, 3, 1, 2)):
             rep = check_theorem5("symbolic", tau)
             assert rep.passed
-            metric = twisted_metric("symbolic", tau)
+            metric = twisted_metric("symbolic", tau, almost_complex_structure("symbolic"))
             assert sampled_positivity_residual(metric, positivity_samples("symbolic")) == ""
 
 
@@ -196,15 +207,15 @@ class TestGluingFormInterpolation:
         )
         assert gluing_map(5).pullback(standard_symplectic_form()) == expected
 
-    def test_sign_flip_control_fails_on_outer_agreement(self):
-        rep = check_lemma2("symbolic", corrupt_alpha_sign=True)
+    def test_sign_flip_control_fails_on_outer_agreement(self, monkeypatch):
+        controls, corrupted, _ = control_inputs(monkeypatch, "symbolic", IDENTITY)
+        rep = controls["alpha-sign-flip"]
         assert not rep.passed
         failing = [c for c in rep.claims if not c.passed]
         assert any("(c)" in c.label for c in failing)
         # the residual is twice the correction term on the outer annulus
         outer = [c for c in failing if "outer" in c.label]
         assert outer and outer[0].residual is not None
-        corrupted = interpolated_form("symbolic", corrupt_sign=True)
         pulled = gluing_map("symbolic").pullback(standard_symplectic_form())
         residual = corrupted.in_region(Region.OUTER) - pulled
         expected = -2 * correction_form("symbolic").in_region(Region.OUTER)
@@ -244,11 +255,11 @@ class TestCanonicalSection:
 
 class TestCanonicalClassVanishing:
     def test_passes_for_identity_twist(self):
-        assert check_theorem5(0).passed
-        assert check_theorem5(4).passed
+        assert check_theorem5(0, IDENTITY).passed
+        assert check_theorem5(4, IDENTITY).passed
 
     def test_passes_symbolically(self):
-        rep = check_theorem5("symbolic")
+        rep = check_theorem5("symbolic", IDENTITY)
         assert rep.passed
 
     def test_passes_for_generators_of_the_twist_group(self):
@@ -265,7 +276,7 @@ class TestCanonicalClassVanishing:
         assert len(positivity_samples("symbolic")) == 7 * 8
 
     def test_dropped_quadratic_term_control_fails(self):
-        rep = check_theorem5("symbolic", drop_quadratic_term=True)
+        rep = negative_control_reports("symbolic", IDENTITY)["dropped-quadratic-term"]
         assert not rep.passed
         failing = [c.label for c in rep.claims if not c.passed]
         assert any("J^2" in label for label in failing)
@@ -312,7 +323,7 @@ class TestDroppedQuadraticMinor:
     def test_new_detail_equals_old_minor(self, k):
         old, new = self._old_and_new(k)
         assert old == new
-        rep = check_theorem5(k, drop_quadratic_term=True)
+        rep = negative_control_reports(k, IDENTITY)["dropped-quadratic-term"]
         claim = next(c for c in rep.claims if c.label == self.LABEL)
         assert not claim.passed
         assert claim.residual == f"minor 2 not certified: {new}"
@@ -320,7 +331,7 @@ class TestDroppedQuadraticMinor:
     def test_minor_is_the_second_leading_minor(self):
         # Independently of the pass: the cofactor determinant of the
         # metric's leading 2-block is the pinned minor.
-        metric = twisted_metric("symbolic", SL2Z.identity(), drop_quadratic_term=True)
+        metric = twisted_metric("symbolic", IDENTITY, dropped_quadratic_structure("symbolic"))
         _, new = self._old_and_new("symbolic")
         block = [row[:2] for row in metric[:2]]
         assert block[0][0] * block[1][1] - block[0][1] * block[1][0] == new
@@ -477,13 +488,15 @@ class TestNaturalityOracle:
         for tau in criterion6_twists():
             rep = check_theorem5(k, tau)
             assert rep.passed
-            assert verdicts(rep) == verdicts(direct_theorem5(k, tau))
+            assert verdicts(rep) == verdicts(
+                direct_theorem5(k, tau, almost_complex_structure(k))
+            )
 
     @pytest.mark.parametrize("k", ["symbolic", 2, -7, 0])
     def test_dropped_quadratic_term(self, k):
         for tau in (*TWISTS, SL2Z(13, 8, 21, 13)):
-            rep = check_theorem5(k, tau, drop_quadratic_term=True)
-            direct = direct_theorem5(k, tau, drop_quadratic_term=True)
+            rep = negative_control_reports(k, tau)["dropped-quadratic-term"]
+            direct = direct_theorem5(k, tau, dropped_quadratic_structure(k))
             assert verdicts(rep) == verdicts(direct)
             # at k = 0 there is no quadratic term to drop
             assert rep.passed == (k == 0)
@@ -492,12 +505,66 @@ class TestNaturalityOracle:
             assert claim in direct.claims
 
 
+def control_inputs(monkeypatch, k, tau):
+    """The controls' reports, and the interpolated form and the almost
+    complex structure that ``negative_control_reports`` hands to the claim
+    code of lemma 2 and theorem 5."""
+    seen = {}
+
+    def spy(real):
+        def wrapper(*args):
+            seen[real.__name__] = args[-1]
+            return real(*args)
+        return wrapper
+
+    for name in ("_lemma2_report", "_theorem5_report"):
+        monkeypatch.setattr(verification, name, spy(getattr(verification, name)))
+    controls = negative_control_reports(k, tau)
+    return controls, seen["_lemma2_report"], seen["_theorem5_report"]
+
+
+# The twists of the "Verify output bytes" CI step.
+PINNED_TWISTS = (IDENTITY, SL2Z(13, 8, 21, 13), SL2Z(0, 1, -1, -1), SL2Z(2, 3, 1, 2))
+
+
 class TestNegativeControls:
     def test_both_controls_fail_as_designed(self):
-        controls = negative_control_reports("symbolic")
+        controls = negative_control_reports("symbolic", IDENTITY)
         assert set(controls) == {"alpha-sign-flip", "dropped-quadratic-term"}
         for rep in controls.values():
             assert not rep.passed
+
+    @pytest.mark.parametrize("k", ["symbolic", -7])
+    def test_inputs_differ_by_exactly_the_corruption(self, monkeypatch, k):
+        _, omega_tilde, j = control_inputs(monkeypatch, k, SL2Z(2, 3, 1, 2))
+        assert omega_tilde - interpolated_form(k) == -2 * correction_form(k)
+        kxf = k_coefficient(k) * RationalFunction.variable("x") * RationalFunction.variable("f")
+        difference = [
+            [a - b for a, b in zip(row, true_row)]
+            for row, true_row in zip(j.matrix, almost_complex_structure(k).matrix)
+        ]
+        expected = [[RationalFunction.zero()] * 6 for _ in range(6)]
+        expected[1][3] = kxf * kxf  # row dy, column dw
+        assert mat_equal(difference, expected)
+        assert not kxf.is_zero()
+
+    @pytest.mark.parametrize("k", ["symbolic", -7, 2, 0])
+    def test_reports_do_not_depend_on_tau(self, k):
+        def documents(tau):
+            return {n: r.to_json() for n, r in negative_control_reports(k, tau).items()}
+
+        untwisted = documents(IDENTITY)
+        for tau in PINNED_TWISTS[1:]:
+            assert documents(tau) == untwisted
+
+    @pytest.mark.parametrize("k", ["symbolic", 2])
+    def test_determinant_minus_one_twist_fails_exactly_claim_e(self, k):
+        # SL2Z refuses this matrix, so it is built as a bare record.
+        flip = SimpleNamespace(p=1, q=0, r=0, s=-1)
+        rep = check_theorem5(k, flip)
+        failing = [c.label for c in rep.claims if not c.passed]
+        assert failing == ["(e) twist preserves the symplectic form"]
+        assert check_theorem5(k, IDENTITY).passed
 
 
 class TestReports:
@@ -511,6 +578,6 @@ class TestReports:
         assert json.dumps(doc) == json.dumps(again)
 
     def test_failing_claim_records_residual(self):
-        rep = check_lemma2(1, corrupt_alpha_sign=True)
+        rep = negative_control_reports(1, IDENTITY)["alpha-sign-flip"]
         failing = [c for c in rep.to_json()["claims"] if not c["passed"]]
         assert failing and all("residual" in c for c in failing)

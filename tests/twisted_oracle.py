@@ -5,13 +5,18 @@ from one untwisted computation. ``direct_theorem5`` is the computation it
 replaced: the twisted structure, form and sections, the twisted gluing
 composite, and positivity after changing basis by the inverse twist. Its
 labels and verdicts must match the reduced report's for every twist.
+Both take the untwisted structure as an input, so the dropped-quadratic-
+term control is checked on a J that ``dropped_quadratic_structure`` builds
+here, not on the library's.
 """
 
 import random
 
 from torus_surgery.coefficients import RationalFunction, I
 from torus_surgery.forms import (
+    GENERATORS,
     Form,
+    LinearOperator,
     Region,
     _positivity_failures,
     compose,
@@ -31,6 +36,7 @@ from torus_surgery.verification import (
     gluing_map,
     gluing_map_inverse,
     interpolated_form,
+    k_coefficient,
     standard_symplectic_form,
     twist_coframe,
     unit_scale,
@@ -65,25 +71,33 @@ def metric(j, omega):
     return mat_mul(omega_matrix(omega), mat_transpose(j.matrix))
 
 
-def twisted_metric(k, tau, drop_quadratic_term=False):
-    """The metric of the direct twisted path: the twisted structure against
-    the twisted form. It is M g M^T for the twist's matrix M and the
-    untwisted metric g, which check_theorem5 certifies instead."""
+def dropped_quadratic_structure(k):
+    """The almost complex structure with (kxf)^2 added to the image of dw:
+    its dy-coefficient, -1 - (kxf)^2, becomes -1."""
+    j = almost_complex_structure(k)
+    kxf = k_coefficient(k) * RationalFunction.variable("x") * RationalFunction.variable("f")
+    images = {g: j(Form.generator(g)) for g in GENERATORS}
+    images["dw"] = images["dw"] + Form.from_terms((kxf * kxf, "dy"))
+    return LinearOperator.from_images(images)
+
+
+def twisted_metric(k, tau, j):
+    """The metric of the direct twisted path: the untwisted structure j,
+    twisted, against the twisted form. It is M g M^T for the twist's matrix
+    M and the untwisted metric g, which check_theorem5 certifies instead."""
     twist, twist_inv = twist_coframe(tau), twist_coframe(tau.inverse())
-    j = almost_complex_structure(k, drop_quadratic_term).conjugate_by(twist, twist_inv)
-    return metric(j, twist.pullback(interpolated_form(k)))
+    return metric(j.conjugate_by(twist, twist_inv), twist.pullback(interpolated_form(k)))
 
 
-def direct_theorem5(k, tau, drop_quadratic_term=False):
-    """check_theorem5's claims, each computed in twisted coordinates."""
+def direct_theorem5(k, tau, j):
+    """check_theorem5's claims for the untwisted structure j, each computed
+    in twisted coordinates."""
     report = IdentityReport("canonical-class-vanishing")
 
     twist = twist_coframe(tau)
     twist_inv = twist_coframe(tau.inverse())
 
-    j_k = almost_complex_structure(k, drop_quadratic_term).conjugate_by(
-        twist, twist_inv
-    )
+    j_k = j.conjugate_by(twist, twist_inv)
     j_0 = almost_complex_structure(0).conjugate_by(twist, twist_inv)
     omega = standard_symplectic_form()
     omega_k = twist.pullback(interpolated_form(k))
