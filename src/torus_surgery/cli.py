@@ -72,6 +72,8 @@ def _parse_tau_slot(text: str) -> tuple[int, surgery.SL2Z]:
 
 def _descriptor_from_args(args) -> surgery.SurgeryDescriptor:
     if args.descriptor is not None:
+        if args.k is not None or args.tau:
+            raise InputError("--descriptor cannot be combined with --k or --tau")
         try:
             data = json.loads(Path(args.descriptor).read_text())
             return surgery.SurgeryDescriptor.from_json(data)
@@ -225,7 +227,9 @@ def _load_tau_file(path: str | None) -> list[surgery.SL2Z]:
 
 def cmd_sweep(args) -> int:
     taus = _load_tau_file(args.tau_file)
-    base = _parse_ints(args.base_k, "--base-k")
+    if args.base_k is not None and args.slot is None:
+        raise InputError("--base-k needs --slot: with no --slot every slot varies")
+    base = (0, 0, 0, 0) if args.base_k is None else _parse_ints(args.base_k, "--base-k")
     slots = [0, 1, 2, 3] if args.slot is None else [args.slot - 1]
     # len() of a range longer than sys.maxsize raises OverflowError.
     count = max(args.k_max - args.k_min + 1, 0) ** len(slots) * len(taus) ** 4
@@ -257,8 +261,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse echoes unrecognized arguments raw; escaping newlines keeps
+    its error on one ``error:`` line. Subparsers take this class too."""
+
+    def error(self, message):
+        super().error(message.replace("\n", "\\n"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torus-surgery",
         description="Exact invariants of twist surgeries on 4-tori in the 6-torus",
     )
@@ -304,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau-file", help="JSON list of [[p,q],[r,s]] matrices")
     p_sweep.add_argument("--slot", type=integer, choices=(1, 2, 3, 4),
                          help="vary only this surgery slot")
-    p_sweep.add_argument("--base-k", default="0,0,0,0",
-                         help="k values for the slots held fixed")
+    p_sweep.add_argument("--base-k", help="k values for the slots held fixed")
     p_sweep.add_argument("--out", help="write JSON lines here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -14,33 +14,16 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 COORDINATES = (1, 2, 3, 4, 5, 6)
 CIRCLE_LABELS = ("z", "w", "s1", "s2")
 
-
-@dataclass(frozen=True)
-class Root8:
-    """An 8th root of unity e^{i*pi*m/4}, stored by exponent mod 8."""
-
-    exponent: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % 8)
-
-    def __str__(self) -> str:
-        names = {0: "1", 2: "i", 4: "-1", 6: "-i"}
-        return names.get(self.exponent, f"zeta8^{self.exponent}")
-
-    __repr__ = __str__
-
-
-ONE = Root8(0)
-IMAG = Root8(2)
-MINUS_ONE = Root8(4)
-MINUS_IMAG = Root8(6)
-PRIMITIVE = Root8(1)
+#: Fixed coordinate values are 8th roots of unity e^{i*pi*m/4}, held by
+#: their exponent m mod 8.
+ONE, PRIMITIVE, IMAG, MINUS_ONE, MINUS_IMAG = 0, 1, 2, 4, 6
+_ROOT_NAMES = {ONE: "1", IMAG: "i", MINUS_ONE: "-1", MINUS_IMAG: "-i"}
 
 
 class Marker(enum.Enum):
@@ -56,31 +39,29 @@ EMPTY, NON_TRANSVERSE = Marker
 
 @dataclass(frozen=True)
 class CoordinateSubtorus:
-    """A subtorus given by free coordinates and fixed root-of-unity values."""
+    """A subtorus given by free coordinates and, read-only, the root
+    exponent fixed at each other coordinate."""
 
     free: frozenset[int]
-    fixed: tuple[tuple[int, Root8], ...]
+    fixed: Mapping[int, int]
 
     @classmethod
-    def make(cls, free: Iterable[int], fixed: dict[int, Root8]) -> "CoordinateSubtorus":
+    def make(cls, free: Iterable[int], fixed: Mapping[int, int]) -> "CoordinateSubtorus":
         free = frozenset(free)
         if free | set(fixed) != set(COORDINATES) or free & set(fixed):
             raise ValueError("free and fixed must partition the six coordinates")
-        return cls(free, tuple(sorted(fixed.items())))
-
-    @property
-    def fixed_map(self) -> dict[int, Root8]:
-        return dict(self.fixed)
+        return cls(free, MappingProxyType({c: m % 8 for c, m in fixed.items()}))
 
     @property
     def dimension(self) -> int:
         return len(self.free)
 
     def __str__(self) -> str:
-        parts = []
-        fixed = self.fixed_map
-        for c in COORDINATES:
-            parts.append("S1" if c in self.free else str(fixed[c]))
+        parts = (
+            "S1" if c in self.free
+            else _ROOT_NAMES.get(self.fixed[c], f"zeta8^{self.fixed[c]}")
+            for c in COORDINATES
+        )
         return "(" + ", ".join(parts) + ")"
 
 
@@ -88,33 +69,28 @@ def intersect(a: CoordinateSubtorus, b: CoordinateSubtorus):
     """Symmetric intersection with the three-way contract:
     EMPTY on a fixed-value conflict, NON_TRANSVERSE when the free
     directions fail to span, else the intersection subtorus."""
-    fa, fb = a.fixed_map, b.fixed_map
-    for coord in set(fa) & set(fb):
-        if fa[coord] != fb[coord]:
-            return EMPTY
+    if any(b.fixed.get(c, m) != m for c, m in a.fixed.items()):
+        return EMPTY
     if a.free | b.free != set(COORDINATES):
         return NON_TRANSVERSE
-    return CoordinateSubtorus.make(a.free & b.free, {**fa, **fb})
+    return CoordinateSubtorus.make(a.free & b.free, {**a.fixed, **b.fixed})
 
 
 @dataclass(frozen=True)
 class EmbeddedTorus:
     """A 4-dimensional coordinate subtorus with its parameter labels
-    (z, w, s1, s2) assigned to the free coordinates."""
+    (z, w, s1, s2) assigned to the free coordinates, read-only."""
 
     name: str
     subtorus: CoordinateSubtorus
-    labels: tuple[tuple[str, int], ...]  # label -> coordinate
+    labels: Mapping[str, int]  # label -> coordinate
 
     def __post_init__(self):
-        label_map = dict(self.labels)
-        if set(label_map) != set(CIRCLE_LABELS):
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+        if set(self.labels) != set(CIRCLE_LABELS):
             raise ValueError("labels must cover z, w, s1, s2")
-        if set(label_map.values()) != set(self.subtorus.free):
+        if set(self.labels.values()) != set(self.subtorus.free):
             raise ValueError("labels must biject onto the free coordinates")
-
-    def coordinate_of(self, label: str) -> int:
-        return dict(self.labels)[label]
 
 
 @functools.cache
@@ -125,22 +101,22 @@ def embedding_catalog() -> tuple[EmbeddedTorus, ...]:
         EmbeddedTorus(
             "e1",
             CoordinateSubtorus.make({2, 3, 5, 6}, {1: ONE, 4: ONE}),
-            (("z", 2), ("w", 3), ("s1", 5), ("s2", 6)),
+            {"z": 2, "w": 3, "s1": 5, "s2": 6},
         ),
         EmbeddedTorus(
             "e2",
             CoordinateSubtorus.make({2, 4, 5, 6}, {1: IMAG, 3: ONE}),
-            (("z", 2), ("w", 4), ("s1", 5), ("s2", 6)),
+            {"z": 2, "w": 4, "s1": 5, "s2": 6},
         ),
         EmbeddedTorus(
             "e3",
             CoordinateSubtorus.make({2, 3, 4, 5}, {1: MINUS_ONE, 6: ONE}),
-            (("z", 2), ("w", 5), ("s1", 3), ("s2", 4)),
+            {"z": 2, "w": 5, "s1": 3, "s2": 4},
         ),
         EmbeddedTorus(
             "e4",
             CoordinateSubtorus.make({2, 3, 4, 6}, {1: MINUS_IMAG, 5: ONE}),
-            (("z", 2), ("w", 6), ("s1", 3), ("s2", 4)),
+            {"z": 2, "w": 6, "s1": 3, "s2": 4},
         ),
     )
 
@@ -171,19 +147,12 @@ def circle_class(circle: CoordinateSubtorus, torus: EmbeddedTorus) -> list[int]:
     embedded torus, in the (z, w, s1, s2) basis."""
     if circle.dimension != 1:
         raise ValueError("expected a 1-dimensional subtorus")
-    if not circle.free <= torus.subtorus.free:
+    if not circle.free <= torus.subtorus.free or any(
+        circle.fixed[c] != m for c, m in torus.subtorus.fixed.items()
+    ):
         raise ValueError("circle is not contained in the embedded torus")
-    torus_fixed = torus.subtorus.fixed_map
-    circle_fixed = circle.fixed_map
-    for coord, value in torus_fixed.items():
-        if circle_fixed.get(coord) != value:
-            raise ValueError("circle is not contained in the embedded torus")
-    coord = next(iter(circle.free))
-    vector = [0, 0, 0, 0]
-    for pos, label in enumerate(CIRCLE_LABELS):
-        if torus.coordinate_of(label) == coord:
-            vector[pos] = 1
-    return vector
+    (coord,) = circle.free
+    return [int(torus.labels[label] == coord) for label in CIRCLE_LABELS]
 
 
 def lemma_matrix(
@@ -211,12 +180,10 @@ def lemma_matrix(
     return rows
 
 
-def is_dual_torus(
-    candidate: CoordinateSubtorus, index: int, embeddings: Sequence[EmbeddedTorus]
-) -> bool:
+def is_dual_torus(candidate: CoordinateSubtorus, index: int) -> bool:
     """True if the candidate meets the index-th embedded torus in exactly
     one transverse point and misses all the others."""
-    for i, torus in enumerate(embeddings):
+    for i, torus in enumerate(embedding_catalog()):
         outcome = intersect(candidate, torus.subtorus)
         if i == index:
             if not isinstance(outcome, CoordinateSubtorus) or outcome.dimension != 0:
@@ -242,12 +209,12 @@ def find_dual_torus(i: int) -> CoordinateSubtorus:
         raise ValueError("embedding index must be 1..4")
     embeddings = embedding_catalog()
     target = embeddings[i - 1].subtorus
-    pinned = {c for torus in embeddings for c, _ in torus.subtorus.fixed}
+    pinned = {c for torus in embeddings for c in torus.subtorus.fixed}
     dual = CoordinateSubtorus.make(
         set(COORDINATES) - target.free,
         {c: PRIMITIVE if c in pinned else ONE for c in target.free},
     )
-    if not is_dual_torus(dual, i - 1, embeddings):
+    if not is_dual_torus(dual, i - 1):
         raise ValueError(f"{dual} is not dual to embedding {i}")
     return dual
 
@@ -403,7 +370,7 @@ class ComplementCertificate:
     embedded 4-tori."""
 
     matrix: tuple[tuple[int, ...], ...]
-    matrix_rank: int
+    rank: int
     invariant_factors: tuple[int, ...]
     cokernel_rank: int
     dual_tori: tuple[CoordinateSubtorus, ...]
@@ -412,10 +379,8 @@ class ComplementCertificate:
 
     def summary(self) -> dict:
         """The derived values, keyed as in ``LEMMA6_EXPECTED``."""
-        return dict(
-            rank=self.matrix_rank, invariant_factors=list(self.invariant_factors),
-            cokernel_rank=self.cokernel_rank, b1=self.b1, b2=self.b2,
-        )
+        values = {key: getattr(self, key) for key in LEMMA6_EXPECTED}
+        return {**values, "invariant_factors": list(self.invariant_factors)}
 
 
 def complement_betti() -> ComplementCertificate:

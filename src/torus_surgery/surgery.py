@@ -57,10 +57,6 @@ class SL2Z:
             self.r * other.q + self.s * other.s,
         )
 
-    def push_circle(self, z: int, w: int) -> tuple[int, int]:
-        """Pushforward on the first homology of the torus directions."""
-        return (self.p * z + self.q * w, self.r * z + self.s * w)
-
     def to_json(self) -> list[list[int]]:
         return [[self.p, self.q], [self.r, self.s]]
 
@@ -114,18 +110,16 @@ def relation_classes(descriptor: SurgeryDescriptor) -> list[list[int]]:
     the complement, derived by composing pushforwards.
 
     The attaching circle carries class (meridian + k * w-circle); the twist
-    acts on the (z, w) pair; the embedding sends z and w to coordinate
-    circles per the catalog; the meridian dies in the complement because it
-    bounds a punctured dual torus.
+    sends k times the w-circle to (q k, s k) on the (z, w) pair; the
+    embedding sends z and w to coordinate circles per the catalog; the
+    meridian dies in the complement because it bounds a punctured dual
+    torus.
     """
     rows = []
-    for k, tau, torus in zip(
-        descriptor.ks, descriptor.taus, embedding_catalog()
-    ):
-        z, w = tau.push_circle(0, k)  # attaching circle: meridian + k*w
+    for k, tau, torus in zip(descriptor.ks, descriptor.taus, embedding_catalog()):
         row = [0] * AMBIENT_RANK
-        row[torus.coordinate_of("z") - 1] += z
-        row[torus.coordinate_of("w") - 1] += w
+        row[torus.labels["z"] - 1] += tau.q * k
+        row[torus.labels["w"] - 1] += tau.s * k
         rows.append(row)
     return rows
 

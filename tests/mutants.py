@@ -34,6 +34,8 @@ VERIFICATION = "tests/test_verification.py::"
 COEFFICIENTS = "tests/test_coefficients.py::"
 CLI = "tests/test_cli.py::"
 FORMS = "tests/test_forms.py::"
+LATTICE = "tests/test_lattice.py::"
+SURGERY = "tests/test_surgery.py::"
 
 MUTANTS = (
     # -- negative controls: the corrupted inputs and claim (e) ---------------
@@ -150,6 +152,63 @@ MUTANTS = (
             COEFFICIENTS + "TestRationalFunction::test_non_real_constant_numerator_in_one_pair_of_parentheses",
             FORMS + "TestFormStr::test_each_coefficient_in_one_pair_of_parentheses",
         ],
+    ),
+    (
+        "coefficients.py",
+        'raise AttributeError("RationalFunction is immutable")',
+        "object.__setattr__(self, name, value)",
+        [COEFFICIENTS + "TestImmutable::test_setting_a_field_raises[RationalFunction]"],
+    ),
+    # -- the positivity certificate's Sylvester pass -------------------------
+    (
+        "forms.py",
+        "a[r] = [p * v - c * w for v, w in zip(a[r], a[m - 1])]",
+        "a[r] = [p * v + c * w for v, w in zip(a[r], a[m - 1])]",
+        [FORMS + "TestSylvesterOracle::test_first_failing_leading_minor"],
+    ),
+    # -- lemma 6: subtori, intersections and dual tori -----------------------
+    (
+        "lattice.py",
+        'MINUS_IMAG: "-i"}',
+        'MINUS_IMAG: "i"}',
+        [LATTICE + "TestRoot8::test_presentation"],
+    ),
+    (
+        "lattice.py",
+        "if any(b.fixed.get(c, m) != m for c, m in a.fixed.items()):",
+        "if any(b.fixed.get(c) != m for c, m in a.fixed.items()):",
+        [LATTICE + "TestIntersect::test_transverse_circle"],
+    ),
+    (
+        "lattice.py",
+        "{c: PRIMITIVE if c in pinned else ONE for c in target.free}",
+        "{c: PRIMITIVE for c in target.free}",
+        [LATTICE + "TestDualTori::test_least_solution_of_exhaustive_enumeration[1]"],
+    ),
+    # -- relation rows, first homology and the sweep's fold ------------------
+    (
+        "surgery.py",
+        'row[torus.labels["z"] - 1] += tau.q * k',
+        'row[torus.labels["z"] - 1] += tau.p * k',
+        [SURGERY + "TestRelationClasses::test_matches_closed_form_oracle"],
+    ),
+    (
+        "surgery.py",
+        'row[torus.labels["w"] - 1] += tau.s * k',
+        'row[torus.labels["w"] - 1] += tau.r * k',
+        [SURGERY + "TestRelationClasses::test_matches_closed_form_oracle"],
+    ),
+    (
+        "surgery.py",
+        "gcd(d4, b * d3, g * p3)",
+        "gcd(d4, b * d3)",
+        [SURGERY + "TestFirstHomology::test_matches_minor_gcd_oracle"],
+    ),
+    (
+        "surgery.py",
+        "if smallest < entry[1]:",
+        "if smallest > entry[1]:",
+        [CLI + "TestSweepGolden::test_golden_output[stdout-sweep_grid-argv0]"],
     ),
     # -- the command line's input contract -----------------------------------
     (

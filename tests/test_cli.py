@@ -91,6 +91,14 @@ class TestInputErrors:
         assert code == 2
         assert "determinant" in err
 
+    @pytest.mark.parametrize("flags", [("--k", "9,9,9,9"), ("--tau", "1:1,1,0,1")])
+    def test_descriptor_with_k_or_tau(self, capsys, flags):
+        # Checked before the file is read: neither flag may be ignored.
+        path = str(GOLDEN / "missing.json")
+        code, out, err = run(capsys, "h1", "--descriptor", path, *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: --descriptor cannot be combined with --k or --tau\n"
+
     def test_missing_descriptor_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "h1", "--descriptor", str(tmp_path / "missing.json")
@@ -381,6 +389,14 @@ class TestSweep:
         assert err.startswith(f"error: cannot write {str(path)!r}: ")
         assert "Traceback" not in err
 
+    def test_base_k_without_slot(self, capsys):
+        # With no --slot every slot varies, so --base-k would be ignored.
+        code, out, err = run(
+            capsys, "sweep", "--k-min", "0", "--k-max", "1", "--base-k", "5,5,5,5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --base-k needs --slot: with no --slot every slot varies\n"
+
     def test_short_base_k_names_its_flag(self, capsys):
         code, out, err = run(
             capsys, "sweep", "--k-min", "0", "--k-max", "1", "--base-k", "1,2"
@@ -632,6 +648,13 @@ def argv_tail(command):
 class TestParserFuzz:
     """Any argv or descriptor file gives exit 0, 1 or 2 without a
     traceback, and exit 2 prints exactly one ``error:`` line."""
+
+    def test_unrecognized_argument_with_newline(self):
+        # Found by test_argv: argparse echoed the path raw, on two lines.
+        argv = ("report", "--", "--descriptor", "no\nerror: such")
+        code, err = run_quiet(*argv)
+        assert_exit_contract(code, err)
+        assert code == 2 and "no\\nerror: such" in err
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
     @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torus_surgery import coefficients
 from torus_surgery.coefficients import (
     SYMBOLS,
     GaussianRational,
@@ -577,6 +578,29 @@ class TestHashAgreesWithEquality:
     def test_zero_polynomial(self):
         assert Polynomial.zero() == 0
         assert hash(Polynomial.zero()) == hash(0)
+
+
+class TestImmutable:
+    """Setting a field raises, on fresh values and on the shared constants
+    that operations return."""
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (GaussianRational(1, 2), "re"),
+            (Polynomial.variable("x"), "_terms"),
+            (RationalFunction.variable("x"), "num"),
+            (Form.from_terms((1, "dx")), "terms"),
+            (coefficients._ZERO, "den"),
+            (coefficients._ONE, "_terms"),
+        ],
+        ids=["GaussianRational", "Polynomial", "RationalFunction", "Form", "_ZERO", "_ONE"],
+    )
+    def test_setting_a_field_raises(self, value, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        assert getattr(value, field) is before
 
 
 class TestPackingBounds:

@@ -167,11 +167,6 @@ class TestSL2Z:
         assert tau @ tau.inverse() == SL2Z.identity()
         assert tau.inverse() @ tau == SL2Z.identity()
 
-    def test_push_circle(self):
-        tau = SL2Z(1, 1, 0, 1)
-        assert tau.push_circle(0, 2) == (2, 2)
-        assert SL2Z.identity().push_circle(3, 5) == (3, 5)
-
     def test_json_round_trip(self):
         tau = SL2Z(2, 3, 1, 2)
         assert SL2Z.from_json(json.loads(json.dumps(tau.to_json()))) == tau
