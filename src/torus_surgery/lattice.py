@@ -45,12 +45,16 @@ class CoordinateSubtorus:
     free: frozenset[int]
     fixed: Mapping[int, int]
 
+    def __post_init__(self):
+        object.__setattr__(self, "free", frozenset(self.free))
+        fixed = MappingProxyType({c: m % 8 for c, m in self.fixed.items()})
+        object.__setattr__(self, "fixed", fixed)
+
     @classmethod
     def make(cls, free: Iterable[int], fixed: Mapping[int, int]) -> "CoordinateSubtorus":
-        free = frozenset(free)
-        if free | set(fixed) != set(COORDINATES) or free & set(fixed):
+        if set(free) | set(fixed) != set(COORDINATES) or set(free) & set(fixed):
             raise ValueError("free and fixed must partition the six coordinates")
-        return cls(free, MappingProxyType({c: m % 8 for c, m in fixed.items()}))
+        return cls(free, fixed)
 
     @property
     def dimension(self) -> int:

@@ -185,6 +185,12 @@ MUTANTS = (
         "{c: PRIMITIVE for c in target.free}",
         [LATTICE + "TestDualTori::test_least_solution_of_exhaustive_enumeration[1]"],
     ),
+    (
+        "lattice.py",
+        "MappingProxyType({c: m % 8 for c, m in self.fixed.items()})",
+        "MappingProxyType(self.fixed)",
+        [LATTICE + "TestRoot8::test_direct_construction_reduces_and_copies"],
+    ),
     # -- relation rows, first homology and the sweep's fold ------------------
     (
         "surgery.py",
@@ -228,6 +234,16 @@ MUTANTS = (
         '"--slot", type=integer,',
         '"--slot", type=int,',
         [CLI + "TestAsciiIntegers::test_non_ascii_digits_exit_2"],
+    ),
+    (
+        "cli.py",
+        '_parse_ints(args.base_k, "--base-k")',
+        'tuple(map(int, args.base_k.split(",")))',
+        [
+            CLI + "TestSweep::test_short_base_k_names_its_flag",
+            CLI + "TestSweep::test_bad_base_k_with_an_empty_range",
+            CLI + "TestAsciiIntegers::test_non_ascii_digits_exit_2",
+        ],
     ),
     (
         "cli.py",

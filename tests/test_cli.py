@@ -156,7 +156,7 @@ class TestAsciiIntegers:
             ("sweep", "--k-min=\u0660", "--k-max=0"),
             ("sweep", "--k-min=0", "--k-max=\u0660"),
             ("sweep", "--k-min=0", "--k-max=0", "--slot=\u0661"),
-            ("sweep", "--k-min=0", "--k-max=0", "--base-k=\u0660,0,0,0"),
+            ("sweep", "--k-min=0", "--k-max=0", "--slot=1", "--base-k=\u0660,0,0,0"),
         ],
         ids=repr,
     )
@@ -399,7 +399,7 @@ class TestSweep:
 
     def test_short_base_k_names_its_flag(self, capsys):
         code, out, err = run(
-            capsys, "sweep", "--k-min", "0", "--k-max", "1", "--base-k", "1,2"
+            capsys, "sweep", "--k-min", "0", "--k-max", "1", "--slot", "1", "--base-k", "1,2"
         )
         assert code == 2
         assert out == ""
@@ -407,7 +407,8 @@ class TestSweep:
 
     def test_bad_base_k_with_an_empty_range(self, capsys):
         code, out, err = run(
-            capsys, "sweep", "--k-min", "1", "--k-max", "0", "--base-k", "garbage"
+            capsys, "sweep", "--k-min", "1", "--k-max", "0", "--slot", "1",
+            "--base-k", "garbage",
         )
         assert code == 2
         assert out == ""

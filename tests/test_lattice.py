@@ -51,6 +51,14 @@ class TestRoot8:
         torus = CoordinateSubtorus.make({1}, fixed)
         assert torus == CoordinateSubtorus.make({1}, dict.fromkeys(fixed, PRIMITIVE))
 
+    def test_direct_construction_reduces_and_copies(self):
+        fixed = {c: 9 for c in COORDINATES if c != 1}
+        torus = CoordinateSubtorus({1}, fixed)
+        fixed[2] = ONE
+        assert torus == CoordinateSubtorus.make({1}, dict.fromkeys(fixed, PRIMITIVE))
+        with pytest.raises(TypeError):
+            torus.fixed[2] = ONE
+
 
 class TestSubtorus:
     def test_partition_enforced(self):
