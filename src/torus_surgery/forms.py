@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 from .coefficients import Polynomial, RationalFunction, certified_positive, parenthesised
 
 GENERATORS = ("dx", "dy", "dz", "dw", "ds1", "ds2")
+_INDICES = frozenset(range(len(GENERATORS)))
 
 #: Base symbol differentiated against each generator (only the disk
 #: coordinates carry coefficient dependence in this model).
@@ -64,7 +65,7 @@ class Region(enum.Enum):
 class Form:
     """Graded sum of wedge monomials in the coordinate coframe.
 
-    Keys are strictly increasing tuples of generator indices; values are
+    Keys are strictly increasing tuples of generator indices 0..5; values are
     nonzero rational-function coefficients. The empty map is the zero form.
     """
 
@@ -74,11 +75,10 @@ class Form:
         clean: dict[tuple[int, ...], RationalFunction] = {}
         if terms:
             for key, coeff in terms.items():
-                if coeff.is_zero():
-                    continue
-                if list(key) != sorted(set(key)):
-                    raise ValueError(f"key {key} is not strictly increasing")
-                clean[tuple(key)] = coeff
+                if list(key) != sorted(set(key)) or not _INDICES.issuperset(key):
+                    raise ValueError(f"key {key} is not strictly increasing indices in 0..5")
+                if not coeff.is_zero():
+                    clean[tuple(key)] = coeff
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -446,10 +446,6 @@ class CompatibilityReport:
         self.invariant = invariant
         self.symmetric = symmetric
         self.positivity_failures = positivity_failures
-
-    @property
-    def passed(self) -> bool:
-        return self.invariant and self.symmetric and not self.positivity_failures
 
 
 def compatibility_check(

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 COORDINATES = (1, 2, 3, 4, 5, 6)
 CIRCLE_LABELS = ("z", "w", "s1", "s2")
@@ -24,6 +24,12 @@ CIRCLE_LABELS = ("z", "w", "s1", "s2")
 #: their exponent m mod 8.
 ONE, PRIMITIVE, IMAG, MINUS_ONE, MINUS_IMAG = 0, 1, 2, 4, 6
 _ROOT_NAMES = {ONE: "1", IMAG: "i", MINUS_ONE: "-1", MINUS_IMAG: "-i"}
+
+
+def require_int(value, name: str) -> None:
+    """Reject anything but a true integer: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 class Marker(enum.Enum):
@@ -40,7 +46,8 @@ EMPTY, NON_TRANSVERSE = Marker
 @dataclass(frozen=True)
 class CoordinateSubtorus:
     """A subtorus given by free coordinates and, read-only, the root
-    exponent fixed at each other coordinate."""
+    exponent fixed at each other coordinate; the two partition the six
+    coordinates."""
 
     free: frozenset[int]
     fixed: Mapping[int, int]
@@ -49,12 +56,8 @@ class CoordinateSubtorus:
         object.__setattr__(self, "free", frozenset(self.free))
         fixed = MappingProxyType({c: m % 8 for c, m in self.fixed.items()})
         object.__setattr__(self, "fixed", fixed)
-
-    @classmethod
-    def make(cls, free: Iterable[int], fixed: Mapping[int, int]) -> "CoordinateSubtorus":
-        if set(free) | set(fixed) != set(COORDINATES) or set(free) & set(fixed):
+        if self.free | fixed.keys() != set(COORDINATES) or self.free & fixed.keys():
             raise ValueError("free and fixed must partition the six coordinates")
-        return cls(free, fixed)
 
     @property
     def dimension(self) -> int:
@@ -77,7 +80,7 @@ def intersect(a: CoordinateSubtorus, b: CoordinateSubtorus):
         return EMPTY
     if a.free | b.free != set(COORDINATES):
         return NON_TRANSVERSE
-    return CoordinateSubtorus.make(a.free & b.free, {**a.fixed, **b.fixed})
+    return CoordinateSubtorus(a.free & b.free, {**a.fixed, **b.fixed})
 
 
 @dataclass(frozen=True)
@@ -104,22 +107,22 @@ def embedding_catalog() -> tuple[EmbeddedTorus, ...]:
     return (
         EmbeddedTorus(
             "e1",
-            CoordinateSubtorus.make({2, 3, 5, 6}, {1: ONE, 4: ONE}),
+            CoordinateSubtorus({2, 3, 5, 6}, {1: ONE, 4: ONE}),
             {"z": 2, "w": 3, "s1": 5, "s2": 6},
         ),
         EmbeddedTorus(
             "e2",
-            CoordinateSubtorus.make({2, 4, 5, 6}, {1: IMAG, 3: ONE}),
+            CoordinateSubtorus({2, 4, 5, 6}, {1: IMAG, 3: ONE}),
             {"z": 2, "w": 4, "s1": 5, "s2": 6},
         ),
         EmbeddedTorus(
             "e3",
-            CoordinateSubtorus.make({2, 3, 4, 5}, {1: MINUS_ONE, 6: ONE}),
+            CoordinateSubtorus({2, 3, 4, 5}, {1: MINUS_ONE, 6: ONE}),
             {"z": 2, "w": 5, "s1": 3, "s2": 4},
         ),
         EmbeddedTorus(
             "e4",
-            CoordinateSubtorus.make({2, 3, 4, 6}, {1: MINUS_IMAG, 5: ONE}),
+            CoordinateSubtorus({2, 3, 4, 6}, {1: MINUS_IMAG, 5: ONE}),
             {"z": 2, "w": 6, "s1": 3, "s2": 4},
         ),
     )
@@ -141,7 +144,7 @@ def three_torus_catalog() -> tuple[CoordinateSubtorus, ...]:
         {1, 5, 6},
     ]
     return tuple(
-        CoordinateSubtorus.make(free, {c: MINUS_ONE for c in set(COORDINATES) - free})
+        CoordinateSubtorus(free, {c: MINUS_ONE for c in set(COORDINATES) - free})
         for free in free_sets
     )
 
@@ -214,7 +217,7 @@ def find_dual_torus(i: int) -> CoordinateSubtorus:
     embeddings = embedding_catalog()
     target = embeddings[i - 1].subtorus
     pinned = {c for torus in embeddings for c in torus.subtorus.fixed}
-    dual = CoordinateSubtorus.make(
+    dual = CoordinateSubtorus(
         set(COORDINATES) - target.free,
         {c: PRIMITIVE if c in pinned else ONE for c in target.free},
     )
@@ -329,6 +332,9 @@ class AbelianGroup:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        require_int(self.rank, "rank")
+        for d in self.torsion:
+            require_int(d, "torsion coefficient")
         if self.rank < 0:
             raise ValueError("negative rank")
         for a, b in zip(self.torsion, self.torsion[1:]):

@@ -11,18 +11,10 @@ from math import gcd
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .lattice import AbelianGroup, embedding_catalog
-
-AMBIENT_RANK = 6
+from .lattice import COORDINATES, AbelianGroup, embedding_catalog, require_int
 
 OBSTRUCTED = "obstructed"
 UNKNOWN = "unknown"
-
-
-def _require_int(value, name: str) -> None:
-    """Reject anything but a true integer: no bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -36,7 +28,7 @@ class SL2Z:
 
     def __post_init__(self):
         for name in ("p", "q", "r", "s"):
-            _require_int(getattr(self, name), f"twist entry {name}")
+            require_int(getattr(self, name), f"twist entry {name}")
         if self.p * self.s - self.q * self.r != 1:
             raise ValueError(
                 f"determinant of [[{self.p},{self.q}],[{self.r},{self.s}]] is not 1"
@@ -68,21 +60,29 @@ class SL2Z:
 
 @dataclass(frozen=True, order=True)
 class SurgeryDescriptor:
-    """Four twist coefficients and four determinant-one matrices, one per
-    embedded 4-torus. Descriptors order by ``ks``, then by each twist's
-    ``(p, q, r, s)``."""
+    """Four integer twist coefficients and four ``SL2Z`` matrices, one per
+    embedded 4-torus, held as tuples. Descriptors order by ``ks``, then by
+    each twist's ``(p, q, r, s)``."""
 
     ks: tuple[int, int, int, int]
     taus: tuple[SL2Z, SL2Z, SL2Z, SL2Z]
 
     def __post_init__(self):
-        if len(self.ks) != 4 or len(self.taus) != 4:
-            raise ValueError("a descriptor carries exactly four surgeries")
+        ks, taus = tuple(self.ks), tuple(self.taus)
+        if len(ks) != 4 or len(taus) != 4:
+            raise ValueError("descriptor must list exactly four surgeries")
+        for k in ks:
+            if type(k) is not int:  # sweep builds one per class: skip the call
+                require_int(k, "k")
+        for tau in taus:
+            if not isinstance(tau, SL2Z):
+                raise TypeError(f"tau must be an SL2Z, got {tau!r}")
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "taus", taus)
 
     @classmethod
     def plain(cls, *ks: int) -> "SurgeryDescriptor":
-        identity = SL2Z.identity()
-        return cls(tuple(ks), (identity,) * 4)
+        return cls(ks, (SL2Z.identity(),) * 4)
 
     def to_json(self) -> dict:
         return {
@@ -95,10 +95,6 @@ class SurgeryDescriptor:
     @classmethod
     def from_json(cls, data) -> "SurgeryDescriptor":
         entries = data["surgeries"]
-        if len(entries) != 4:
-            raise ValueError("descriptor must list exactly four surgeries")
-        for e in entries:
-            _require_int(e["k"], "k")
         return cls(
             tuple(e["k"] for e in entries),
             tuple(SL2Z.from_json(e["tau"]) for e in entries),
@@ -117,7 +113,7 @@ def relation_classes(descriptor: SurgeryDescriptor) -> list[list[int]]:
     """
     rows = []
     for k, tau, torus in zip(descriptor.ks, descriptor.taus, embedding_catalog()):
-        row = [0] * AMBIENT_RANK
+        row = [0] * len(COORDINATES)
         row[torus.labels["z"] - 1] += tau.q * k
         row[torus.labels["w"] - 1] += tau.s * k
         rows.append(row)
@@ -189,7 +185,7 @@ def _divisors_group(divisors: tuple[int, ...]) -> AbelianGroup:
     chain = (1, *itertools.takewhile(bool, divisors))
     factors = [d // previous for previous, d in zip(chain, chain[1:])]
     return AbelianGroup(
-        AMBIENT_RANK - len(factors), tuple(d for d in factors if d > 1)
+        len(COORDINATES) - len(factors), tuple(d for d in factors if d > 1)
     )
 
 
@@ -301,10 +297,13 @@ class SweepClass(_H1Invariants):
         }
 
 
-def _varied_slots(slots: Sequence[int] | None) -> tuple[int, ...]:
+def _varied_slots(slots: Sequence[int] | None, base_ks: Sequence[int]) -> tuple[int, ...]:
+    """The slots a sweep varies; ``base_ks`` gives the k of every other one."""
     varied = (0, 1, 2, 3) if slots is None else tuple(slots)
     if len(set(varied)) != len(varied) or not set(varied) <= {0, 1, 2, 3}:
         raise ValueError(f"slots must be distinct and in 0..3, got {slots!r}")
+    if len(base_ks) != 4:
+        raise ValueError(f"base_ks must have exactly four entries, got {base_ks!r}")
     return varied
 
 
@@ -316,14 +315,15 @@ def sweep_descriptors(
 ) -> Iterable[SurgeryDescriptor]:
     """Grid of descriptors: the chosen slots range over k_values and every
     slot ranges over tau_set; the remaining k entries come from base_ks.
-    A repeated slot, or one outside 0..3, raises ValueError."""
-    slots = _varied_slots(slots)
+    A repeated slot, one outside 0..3, or a base_ks without four entries
+    raises ValueError."""
+    slots = _varied_slots(slots, base_ks)
     for ks in itertools.product(k_values, repeat=len(slots)):
         full = list(base_ks)
         for slot, k in zip(slots, ks):
             full[slot] = k
         for taus in itertools.product(tau_set, repeat=4):
-            yield SurgeryDescriptor(tuple(full), taus)
+            yield SurgeryDescriptor(full, taus)
 
 
 def _slot_table(
@@ -362,7 +362,7 @@ def sweep(
     descriptors by the same choices keeps their order. After the last
     slot only D_1, ..., D_4 are kept, one entry per class.
     """
-    varied = _varied_slots(slots)
+    varied = _varied_slots(slots, base_ks)
     states = {_NO_ROWS: [1, ((), ())]}
     for slot in range(4):
         table = _slot_table(

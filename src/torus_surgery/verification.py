@@ -102,26 +102,21 @@ def almost_complex_structure(k: KParam) -> LinearOperator:
     )
 
 
-def canonical_section_flat() -> Form:
-    """s_0 = (dx + i dz)^(dw + i dy)^(ds1 + i ds2)."""
-    a = Form.from_terms((1, "dx"), (I, "dz"))
-    b = Form.from_terms((1, "dw"), (I, "dy"))
-    c = Form.from_terms((1, "ds1"), (I, "ds2"))
-    return a.wedge(b).wedge(c)
-
-
 def canonical_section(k: KParam) -> Form:
     """The closed-form section of (3,0)-forms, normalized so the
-    coefficient on dx^dw^ds1 is 1."""
-    kc = k_coefficient(k)
-    kf = kc * F
+    coefficient on dx^dw^ds1 is 1: ((dx + i dz)^(dw + i dy) + kf (x dx^dy
+    + i y dx^dz - i x dy^dz))^(ds1 + i ds2). At k = 0 it is the flat
+    section."""
+    kf = k_coefficient(k) * F
+    a = Form.from_terms((1, "dx"), (I, "dz"))
+    b = Form.from_terms((1, "dw"), (I, "dy"))
     correction = Form.from_terms(
         (kf * X, "dx", "dy"),
         (I * kf * Y, "dx", "dz"),
         (-I * kf * X, "dy", "dz"),
     )
     tail = Form.from_terms((1, "ds1"), (I, "ds2"))
-    return canonical_section_flat() + correction.wedge(tail)
+    return (a.wedge(b) + correction).wedge(tail)
 
 
 def twist_coframe(tau) -> CoframeMap:
@@ -368,7 +363,7 @@ def _theorem5_report(k: KParam, tau, j_k: LinearOperator) -> IdentityReport:
     )
     report.add_form_claim(
         "(d) gluing pullback of flat section gives twisted section (outer)",
-        phi.pullback(canonical_section_flat()),
+        phi.pullback(canonical_section(0)),
         section_k.in_region(Region.OUTER),
     )
 

@@ -191,6 +191,55 @@ MUTANTS = (
         "MappingProxyType(self.fixed)",
         [LATTICE + "TestRoot8::test_direct_construction_reduces_and_copies"],
     ),
+    (
+        "lattice.py",
+        "if self.free | fixed.keys() != set(COORDINATES) or self.free & fixed.keys():",
+        "if False:",
+        [LATTICE + "TestSubtorus::test_partition_enforced"],
+    ),
+    # -- constructors refuse what their values cannot hold -------------------
+    (
+        "surgery.py",
+        'require_int(k, "k")',
+        "pass",
+        [SURGERY + "TestDescriptor::test_integer_ks_enforced"],
+    ),
+    (
+        "surgery.py",
+        "if not isinstance(tau, SL2Z):",
+        "if False:",
+        [SURGERY + "TestDescriptor::test_twists_enforced"],
+    ),
+    (
+        "surgery.py",
+        "ks, taus = tuple(self.ks), tuple(self.taus)",
+        "ks, taus = self.ks, self.taus",
+        [SURGERY + "TestDescriptor::test_entries_held_as_tuples"],
+    ),
+    (
+        "surgery.py",
+        "if len(base_ks) != 4:",
+        "if False:",
+        [SURGERY + "TestSweep::test_base_ks_needs_four_entries"],
+    ),
+    (
+        "forms.py",
+        " or not _INDICES.issuperset(key):",
+        ":",
+        [FORMS + "TestWedge::test_constructor_rejects_keys_not_strictly_increasing"],
+    ),
+    (
+        "lattice.py",
+        'require_int(self.rank, "rank")',
+        "pass",
+        [LATTICE + "TestAbelianGroup::test_integer_entries_enforced"],
+    ),
+    (
+        "lattice.py",
+        'require_int(d, "torsion coefficient")',
+        "pass",
+        [LATTICE + "TestAbelianGroup::test_integer_entries_enforced"],
+    ),
     # -- relation rows, first homology and the sweep's fold ------------------
     (
         "surgery.py",

@@ -153,7 +153,7 @@ def test_criterion_04_complement_certificate():
     """Rank-10 unimodular intersection matrix and (b1, b2) = (6, 17)."""
     matrix = lemma_matrix()
     cert = complement_betti()
-    published_dual = CoordinateSubtorus.make(
+    published_dual = CoordinateSubtorus(
         {1, 4}, {c: MINUS_ONE for c in (2, 3, 5, 6)}
     )
     ok = (
@@ -238,7 +238,7 @@ def test_criterion_09_negative_controls():
     corrupted_catalog_detected = False
     # The eighth 3-torus with its fixed value at coordinate 3 set to +1.
     tori = list(three_torus_catalog())
-    tori[7] = CoordinateSubtorus.make(tori[7].free, {**tori[7].fixed, 3: ONE})
+    tori[7] = CoordinateSubtorus(tori[7].free, {**tori[7].fixed, 3: ONE})
     try:
         lemma_matrix(three_tori=tori)
     except ValueError:

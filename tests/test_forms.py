@@ -152,9 +152,12 @@ class TestWedge:
         assert Form.from_terms((1, "dy", "dx")) == -Form.from_terms((1, "dx", "dy"))
         assert Form.from_terms((1, "dx", "dx")).is_zero()
 
-    @pytest.mark.parametrize("key", [(1, 0), (0, 0), (2, 1, 3)], ids=repr)
+    @pytest.mark.parametrize(
+        "key", [(1, 0), (0, 0), (2, 1, 3), (6,), (-1, 0), (0, 1, 7)], ids=repr
+    )
     def test_constructor_rejects_keys_not_strictly_increasing(self, key):
-        with pytest.raises(ValueError, match="not strictly increasing"):
+        # Indices outside 0..5 name no generator.
+        with pytest.raises(ValueError, match="not strictly increasing indices in 0..5"):
             Form({key: RationalFunction.constant(1)})
 
     @settings(max_examples=40)
@@ -429,7 +432,8 @@ class TestCompatibility:
             standard_symplectic_form(),
             Region.INNER,
         )
-        assert rep.passed
+        assert rep.invariant and rep.symmetric
+        assert rep.positivity_failures == []
 
     def test_orientation_reversal_fails_positivity(self):
         j0 = almost_complex_structure(0)
@@ -451,7 +455,7 @@ class TestCompatibility:
             }
         )
         rep = compatibility_check(swap, standard_symplectic_form(), Region.INNER)
-        assert not rep.passed
+        assert not rep.invariant and not rep.symmetric
         assert rep.positivity_failures == ["minor 1 is identically 0"]
 
     def test_twisted_metric_needs_the_untwisting_basis(self):

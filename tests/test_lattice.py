@@ -41,21 +41,21 @@ from matrix_oracles import (
 
 class TestRoot8:
     def test_presentation(self):
-        torus = CoordinateSubtorus.make(
+        torus = CoordinateSubtorus(
             {1}, {2: ONE, 3: PRIMITIVE, 4: IMAG, 5: MINUS_ONE, 6: MINUS_IMAG}
         )
         assert str(torus) == "(S1, 1, zeta8^1, i, -1, -i)"
 
     def test_exponents_reduced_mod_8(self):
         fixed = {c: 9 for c in COORDINATES if c != 1}
-        torus = CoordinateSubtorus.make({1}, fixed)
-        assert torus == CoordinateSubtorus.make({1}, dict.fromkeys(fixed, PRIMITIVE))
+        torus = CoordinateSubtorus({1}, fixed)
+        assert torus == CoordinateSubtorus({1}, dict.fromkeys(fixed, PRIMITIVE))
 
     def test_direct_construction_reduces_and_copies(self):
         fixed = {c: 9 for c in COORDINATES if c != 1}
         torus = CoordinateSubtorus({1}, fixed)
         fixed[2] = ONE
-        assert torus == CoordinateSubtorus.make({1}, dict.fromkeys(fixed, PRIMITIVE))
+        assert torus == CoordinateSubtorus({1}, dict.fromkeys(fixed, PRIMITIVE))
         with pytest.raises(TypeError):
             torus.fixed[2] = ONE
 
@@ -63,12 +63,12 @@ class TestRoot8:
 class TestSubtorus:
     def test_partition_enforced(self):
         with pytest.raises(ValueError):
-            CoordinateSubtorus.make({1, 2}, {2: ONE, 3: ONE})
+            CoordinateSubtorus({1, 2}, {2: ONE, 3: ONE})
         with pytest.raises(ValueError):
-            CoordinateSubtorus.make({1, 2}, {3: ONE})
+            CoordinateSubtorus({1, 2}, {3: ONE})
 
     def test_presentation(self):
-        torus = CoordinateSubtorus.make(
+        torus = CoordinateSubtorus(
             {1, 4}, {2: MINUS_ONE, 3: MINUS_ONE, 5: MINUS_ONE, 6: MINUS_ONE}
         )
         assert str(torus) == "(S1, -1, -1, S1, -1, -1)"
@@ -104,8 +104,8 @@ class TestIntersect:
         assert intersect(w1, w1) == NON_TRANSVERSE
 
     def test_empty_takes_priority_over_non_transverse(self):
-        a = CoordinateSubtorus.make({1}, {c: ONE for c in COORDINATES if c != 1})
-        b = CoordinateSubtorus.make({1}, {c: MINUS_ONE for c in COORDINATES if c != 1})
+        a = CoordinateSubtorus({1}, {c: ONE for c in COORDINATES if c != 1})
+        b = CoordinateSubtorus({1}, {c: MINUS_ONE for c in COORDINATES if c != 1})
         assert intersect(a, b) == EMPTY
 
     def test_symmetry(self):
@@ -134,7 +134,7 @@ class TestCircleClass:
 
     def test_containment_enforced(self):
         embeddings = embedding_catalog()
-        circle = CoordinateSubtorus.make(
+        circle = CoordinateSubtorus(
             {2}, {c: MINUS_ONE for c in COORDINATES if c != 2}
         )
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestLemmaMatrix:
     def test_corrupted_catalog_is_non_transverse(self):
         # The eighth 3-torus with its fixed value at coordinate 3 set to +1.
         tori = list(three_torus_catalog())
-        tori[7] = CoordinateSubtorus.make(tori[7].free, {**tori[7].fixed, 3: ONE})
+        tori[7] = CoordinateSubtorus(tori[7].free, {**tori[7].fixed, 3: ONE})
         with pytest.raises(ValueError):
             lemma_matrix(three_tori=tori)
 
@@ -221,7 +221,7 @@ def least_dual_by_enumeration(index):
         if accepted_as_dual(free, fixed, index, embeddings)
     ]
     assert accepted, f"no candidate accepted for embedding {index + 1}"
-    return CoordinateSubtorus.make(*min(accepted, key=candidate_key))
+    return CoordinateSubtorus(*min(accepted, key=candidate_key))
 
 
 class TestDualTori:
@@ -238,7 +238,7 @@ class TestDualTori:
             assert is_dual_torus(dual, i - 1)
 
     def test_published_solution_for_first_embedding(self):
-        candidate = CoordinateSubtorus.make(
+        candidate = CoordinateSubtorus(
             {1, 4}, {c: MINUS_ONE for c in (2, 3, 5, 6)}
         )
         assert is_dual_torus(candidate, 0)
@@ -385,6 +385,13 @@ class TestAbelianGroup:
             AbelianGroup(0, (4, 2))  # not a divisor chain
         with pytest.raises(ValueError):
             AbelianGroup(0, (1,))  # trivial factor not allowed
+
+    @pytest.mark.parametrize(
+        "rank, torsion", [(2.0, ()), (True, ()), (0, (2.0,)), (1, (2, True))], ids=repr
+    )
+    def test_integer_entries_enforced(self, rank, torsion):
+        with pytest.raises(TypeError):
+            AbelianGroup(rank, torsion)
 
     def test_json(self):
         assert AbelianGroup(2, (2, 6)).to_json() == {"rank": 2, "torsion": [2, 6]}

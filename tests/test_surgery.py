@@ -150,6 +150,15 @@ def random_sl2z(rng, bound=9):
             return result
 
 
+#: Descriptors with ks from a wide range and twists built as random_sl2z
+#: builds them.
+descriptors = st.builds(
+    SurgeryDescriptor,
+    st.lists(st.integers(-(2**64), 2**64), min_size=4, max_size=4),
+    st.lists(st.randoms(use_true_random=False).map(random_sl2z), min_size=4, max_size=4),
+)
+
+
 class TestSL2Z:
     def test_determinant_enforced(self):
         with pytest.raises(ValueError):
@@ -187,6 +196,35 @@ class TestDescriptor:
     def test_from_json_validates_length(self):
         with pytest.raises(ValueError):
             SurgeryDescriptor.from_json({"surgeries": []})
+
+    def test_entries_held_as_tuples(self):
+        taus = [SL2Z(1, 1, 0, 1)] + [SL2Z.identity()] * 3
+        from_lists = SurgeryDescriptor([1, 2, 3, 4], taus)
+        from_tuples = SurgeryDescriptor((1, 2, 3, 4), tuple(taus))
+        assert from_lists == from_tuples
+        assert hash(from_lists) == hash(from_tuples)
+        assert from_lists.ks == (1, 2, 3, 4) and from_lists.taus == tuple(taus)
+
+    @pytest.mark.parametrize("k", [True, 2.0, "3", None], ids=repr)
+    def test_integer_ks_enforced(self, k):
+        with pytest.raises(TypeError):
+            SurgeryDescriptor((k, 0, 0, 0), (SL2Z.identity(),) * 4)
+
+    def test_twists_enforced(self):
+        with pytest.raises(TypeError):
+            SurgeryDescriptor((0, 0, 0, 0), ((1, 0, 0, 1),) + (SL2Z.identity(),) * 3)
+
+    @settings(max_examples=60)
+    @given(st.lists(descriptors, min_size=2, max_size=2))
+    def test_json_round_trip_keeps_equality_hash_and_order(self, pair):
+        d, e = pair
+        back_d, back_e = (
+            SurgeryDescriptor.from_json(json.loads(json.dumps(x.to_json())))
+            for x in (d, e)
+        )
+        assert back_d == d and hash(back_d) == hash(d)
+        assert back_d <= d <= back_d
+        assert (back_d < back_e) == (d < e) and (back_e < back_d) == (e < d)
 
 
 class TestRelationClasses:
@@ -456,6 +494,10 @@ class TestRealize:
         with pytest.raises(ValueError):
             realize(-1, 0, 0, 0)
 
+    def test_non_integer_target_rejected(self):
+        with pytest.raises(TypeError):
+            realize(2.0, 3, 4, 5)
+
     def test_group_matches_cyclic_sum_oracle(self):
         rng = random.Random(41)
         for _ in range(120):
@@ -499,6 +541,13 @@ class TestSweep:
             sweep(range(0, 3), [SL2Z.identity()], slots=slots)
         with pytest.raises(ValueError, match="slots"):
             list(sweep_descriptors(range(0, 3), [SL2Z.identity()], slots=slots))
+
+    @pytest.mark.parametrize("base_ks", [(1, 2, 3), (1, 2, 3, 4, 5)], ids=repr)
+    def test_base_ks_needs_four_entries(self, base_ks):
+        with pytest.raises(ValueError, match="base_ks"):
+            sweep(range(0, 3), [SL2Z.identity()], slots=[0], base_ks=base_ks)
+        with pytest.raises(ValueError, match="base_ks"):
+            list(sweep_descriptors(range(0, 3), [SL2Z.identity()], slots=[0], base_ks=base_ks))
 
     def test_deterministic_order(self):
         # The order in which k values, twists and varied slots are listed

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_surgery import verification
-from torus_surgery.coefficients import SYMBOLS, Polynomial, RationalFunction
+from torus_surgery.coefficients import SYMBOLS, I, Polynomial, RationalFunction
 from torus_surgery.forms import (
     Form,
     LinearOperator,
@@ -24,7 +24,6 @@ from torus_surgery.forms import (
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
     canonical_section,
-    canonical_section_flat,
     check_lemma2,
     check_theorem5,
     correction_form,
@@ -224,7 +223,14 @@ class TestGluingFormInterpolation:
 
 class TestCanonicalSection:
     def test_flat_section_recovered_at_k_zero(self):
-        assert canonical_section(0) == canonical_section_flat()
+        # (dx + i dz)^(dw + i dy)^(ds1 + i ds2), expanded by hand
+        flat = Form.from_terms(
+            (1, "dx", "dw", "ds1"), (I, "dx", "dw", "ds2"),
+            (I, "dx", "dy", "ds1"), (-1, "dx", "dy", "ds2"),
+            (I, "dz", "dw", "ds1"), (-1, "dz", "dw", "ds2"),
+            (-1, "dz", "dy", "ds1"), (-I, "dz", "dy", "ds2"),
+        )
+        assert canonical_section(0) == flat
 
     def test_unit_normalization(self):
         section = canonical_section("symbolic")

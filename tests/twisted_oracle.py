@@ -32,7 +32,6 @@ from torus_surgery.verification import (
     IdentityReport,
     almost_complex_structure,
     canonical_section,
-    canonical_section_flat,
     gluing_map,
     gluing_map_inverse,
     interpolated_form,
@@ -102,7 +101,7 @@ def direct_theorem5(k, tau, j):
     omega = standard_symplectic_form()
     omega_k = twist.pullback(interpolated_form(k))
     section_k = twist.pullback(canonical_section(k))
-    section_0 = twist.pullback(canonical_section_flat())
+    section_0 = twist.pullback(canonical_section(0))
 
     report.add_matrix_claim(
         "(a) J^2 = -identity", j_k.square(), mat_neg(mat_identity(6))
