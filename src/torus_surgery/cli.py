@@ -146,7 +146,7 @@ def cmd_verify_forms(args) -> int:
     ok = all(r.passed for r in reports)
     controls = {}
     if args.negative_controls:
-        controls = verification.negative_control_reports(k, tau)
+        controls = verification.negative_control_reports(*reports)
         ok = ok and all(not r.passed for r in controls.values())
     if args.json:
         document = {
@@ -331,6 +331,16 @@ def main(argv=None) -> int:
         return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # Python refuses to write an int of more than
+        # sys.get_int_max_str_digits() digits. An input integer that long
+        # has already been refused as bad input where it was parsed.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: the result holds an integer of more than {limit} digits",
+              file=sys.stderr)
         return 2
     except BrokenPipeError as exc:
         # Point fd 1 at devnull so that the flush at exit stays quiet.

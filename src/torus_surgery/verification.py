@@ -3,14 +3,15 @@ surgery construction: the gluing-map pullback formulas, closedness and
 nondegeneracy of the interpolated form, the almost complex structure, and
 the canonical-bundle section, all with exact coefficients.
 
-Each check returns an IdentityReport listing labelled claims; a failing
-claim records the nonzero residual so it can be inspected.
+Each check runs a table of claims, each entry a function of the inputs it
+names, and returns an IdentityReport listing labelled claims; a failing
+claim records the nonzero residual so it can be inspected. A negative
+control reruns only the entries that read the input it corrupts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .coefficients import RationalFunction, I
 from .forms import (
@@ -154,8 +155,7 @@ def unit_scale(k: KParam) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
     label: str
     passed: bool
     residual: str | None = None
@@ -167,36 +167,57 @@ class ClaimResult:
         return data
 
 
-@dataclass
+def form_claim(label: str, actual: Form, expected: Form) -> ClaimResult:
+    residual = actual - expected
+    if residual.is_zero():
+        return ClaimResult(label, True)
+    return ClaimResult(label, False, str(residual))
+
+
+def matrix_claim(label: str, actual, expected) -> ClaimResult:
+    if mat_equal(actual, expected):
+        return ClaimResult(label, True)
+    return ClaimResult(label, False, "; ".join(
+        f"[{i}][{j}] = {a - b}"
+        for i, row in enumerate(actual)
+        for j, (a, b) in enumerate(zip(row, expected[i]))
+        if a != b
+    ))
+
+
+def _run(entry, inputs: dict) -> tuple[ClaimResult, ...]:
+    reads, claims = entry
+    return tuple(claims(**{name: inputs[name] for name in reads}))
+
+
 class IdentityReport:
-    name: str
-    claims: list[ClaimResult] = field(default_factory=list)
+    """A check's claims, held in ``results`` entry by entry of its claim
+    table and computed from ``inputs``. A table entry is (the names of the
+    inputs it reads, a function of just those that returns its claims)."""
+
+    __slots__ = ("name", "table", "inputs", "results")
+
+    def __init__(self, name: str, table, inputs: dict, results=None):
+        self.name, self.table, self.inputs = name, table, inputs
+        self.results = [_run(e, inputs) for e in table] if results is None else results
+
+    @property
+    def claims(self) -> list[ClaimResult]:
+        return [claim for result in self.results for claim in result]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def add_form_claim(self, label: str, actual: Form, expected: Form):
-        residual = actual - expected
-        if residual.is_zero():
-            self.claims.append(ClaimResult(label, True))
-        else:
-            self.claims.append(ClaimResult(label, False, str(residual)))
-
-    def add_matrix_claim(self, label: str, actual, expected):
-        if mat_equal(actual, expected):
-            self.claims.append(ClaimResult(label, True))
-        else:
-            residual = "; ".join(
-                f"[{i}][{j}] = {a - b}"
-                for i, row in enumerate(actual)
-                for j, (a, b) in enumerate(zip(row, expected[i]))
-                if a != b
-            )
-            self.claims.append(ClaimResult(label, False, residual))
-
-    def add_flag_claim(self, label: str, passed: bool, detail: str | None = None):
-        self.claims.append(ClaimResult(label, passed, None if passed else detail))
+    def rerun(self, name: str, value) -> "IdentityReport":
+        """The report with input ``name`` set to ``value``: the entries that
+        read it run again, and every other entry, whose inputs are
+        unchanged, keeps its result."""
+        inputs = {**self.inputs, name: value}
+        return IdentityReport(self.name, self.table, inputs, [
+            _run(entry, inputs) if name in entry[0] else result
+            for entry, result in zip(self.table, self.results)
+        ])
 
     def to_json(self) -> dict:
         return {
@@ -209,21 +230,7 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def check_lemma2(k: KParam) -> IdentityReport:
-    """Closedness and nondegeneracy of the interpolated form, and its
-    agreement with the pulled-back form near the boundary."""
-    return _lemma2_report(k, interpolated_form(k))
-
-
-def _lemma2_report(k: KParam, omega_tilde: Form) -> IdentityReport:
-    """Lemma 2's claims with ``omega_tilde`` as the interpolated form."""
-    report = IdentityReport("gluing-form-interpolation")
-    phi = gluing_map(k)
-    omega = standard_symplectic_form()
-    alpha = correction_form(k)
-    kc = k_coefficient(k)
-
-    # (a) pullback of each coordinate 1-form on the outer annulus
+def _pullback_images(kc, phi):
     radial = kc / RADIUS_SQ
     expected_images = {
         "dx": Form.generator("dx"),
@@ -231,62 +238,107 @@ def _lemma2_report(k: KParam, omega_tilde: Form) -> IdentityReport:
         "dz": Form.generator("dz"),
         "dw": Form.from_terms((1, "dw"), (radial * X, "dy"), (-radial * Y, "dx")),
     }
-    for gen, expected in expected_images.items():
-        report.add_form_claim(
-            f"(a) boundary-twist pullback of {gen}",
-            phi.pullback(Form.generator(gen)),
-            expected,
-        )
+    return [
+        form_claim(f"(a) boundary-twist pullback of {gen}",
+                   phi.pullback(Form.generator(gen)), expected)
+        for gen, expected in expected_images.items()
+    ]
 
+
+LEMMA2_CLAIMS = (
+    # (a) pullback of each coordinate 1-form on the outer annulus
+    (("kc", "phi"), _pullback_images),
     # (b) pullback of the symplectic form
-    expected_b = omega + Form.from_terms((-kc * Y / RADIUS_SQ, "dx", "dy"))
-    report.add_form_claim(
-        "(b) pullback of the symplectic form", phi.pullback(omega), expected_b
-    )
-
+    (("kc", "omega", "phi_omega"), lambda kc, omega, phi_omega: [form_claim(
+        "(b) pullback of the symplectic form",
+        phi_omega, omega + Form.from_terms((-kc * Y / RADIUS_SQ, "dx", "dy")))]),
     # (c) the interpolated form matches the pullback outside and the
     # original form inside
-    report.add_form_claim(
-        "(c) interpolated form agrees with pullback (outer)",
-        omega_tilde.in_region(Region.OUTER),
-        phi.pullback(omega),
-    )
-    report.add_form_claim(
-        "(c) interpolated form agrees with original (inner)",
-        omega_tilde.in_region(Region.INNER),
-        omega,
-    )
-
+    (("omega_tilde", "omega", "phi_omega"), lambda omega_tilde, omega, phi_omega: [
+        form_claim("(c) interpolated form agrees with pullback (outer)",
+                   omega_tilde.in_region(Region.OUTER), phi_omega),
+        form_claim("(c) interpolated form agrees with original (inner)",
+                   omega_tilde.in_region(Region.INNER), omega),
+    ]),
     # (d) closedness where f has a concrete value
-    for region in (Region.INNER, Region.OUTER):
-        report.add_form_claim(
-            f"(d) d(interpolated form) = 0 ({region.value})",
-            omega_tilde.exterior_derivative(region),
-            Form.zero(),
-        )
-
+    (("omega_tilde",), lambda omega_tilde: [
+        form_claim(f"(d) d(interpolated form) = 0 ({region.value})",
+                   omega_tilde.exterior_derivative(region), Form.zero())
+        for region in (Region.INNER, Region.OUTER)
+    ]),
     # (e) top-power identity with abstract f, hence in every region
-    report.add_form_claim(
-        "(e) correction wedge correction = 0", alpha.wedge(alpha), Form.zero()
-    )
-    report.add_form_claim(
-        "(e) omega^2 wedge correction = 0",
-        omega.wedge(omega).wedge(alpha),
-        Form.zero(),
-    )
-    omega_cubed = omega.wedge_power(3)
-    for region in Region:
-        report.add_form_claim(
-            f"(e) top power preserved ({region.value})",
-            omega_tilde.in_region(region).wedge_power(3),
-            omega_cubed.in_region(region),
-        )
-    report.add_form_claim(
+    (("alpha", "omega"), lambda alpha, omega: [
+        form_claim("(e) correction wedge correction = 0", alpha.wedge(alpha), Form.zero()),
+        form_claim("(e) omega^2 wedge correction = 0",
+                   omega.wedge(omega).wedge(alpha), Form.zero()),
+    ]),
+    (("omega_tilde", "omega_cubed_in"), lambda omega_tilde, omega_cubed_in: [
+        form_claim(f"(e) top power preserved ({region.value})",
+                   omega_tilde.in_region(region).wedge_power(3), omega_cubed_in[region])
+        for region in Region
+    ]),
+    (("omega_cubed",), lambda omega_cubed: [form_claim(
         "(e) omega^3 is six times the volume form",
-        omega_cubed,
-        Form.from_terms((6, "dx", "dz", "dw", "dy", "ds1", "ds2")),
-    )
-    return report
+        omega_cubed, Form.from_terms((6, "dx", "dz", "dw", "dy", "ds1", "ds2")))]),
+)
+
+
+def check_lemma2(k: KParam) -> IdentityReport:
+    """Closedness and nondegeneracy of the interpolated form, and its
+    agreement with the pulled-back form near the boundary. The form
+    omega_tilde is the input that a negative control replaces; the others
+    are built here once."""
+    omega, alpha, phi = standard_symplectic_form(), correction_form(k), gluing_map(k)
+    omega_cubed = omega.wedge_power(3)
+    return IdentityReport("gluing-form-interpolation", LEMMA2_CLAIMS, {
+        "kc": k_coefficient(k), "phi": phi, "omega": omega, "alpha": alpha,
+        "phi_omega": phi.pullback(omega), "omega_cubed": omega_cubed,
+        "omega_cubed_in": {region: omega_cubed.in_region(region) for region in Region},
+        "omega_tilde": omega + alpha,
+    })
+
+
+def _compatibility(j, omega_k):
+    compat = compatibility_check(j, omega_k, Region.MIDDLE)
+    return [
+        ClaimResult("(b) form invariance under J", compat.invariant),
+        ClaimResult("(b) induced metric is symmetric", compat.symmetric),
+        ClaimResult("(b) metric positive definite (certified leading minors)",
+                    not compat.positivity_failures,
+                    "; ".join(compat.positivity_failures) or None),
+    ]
+
+
+THEOREM5_CLAIMS = (
+    # (a) squares to minus the identity with f abstract
+    (("j",), lambda j: [
+        matrix_claim("(a) J^2 = -identity", j.square(), mat_neg(mat_identity(6)))]),
+    # (b) compatibility with the interpolated symplectic form
+    (("j", "omega_k"), _compatibility),
+    # (c) the eigenform product equals the normalized section up to the
+    # nowhere-zero unit, and the normalized section has unit coefficient
+    (("j", "section_times_unit"), lambda j, section_times_unit: [form_claim(
+        "(c) eigenform product matches section up to the unit factor",
+        eigenform_product(j), section_times_unit)]),
+    (("section_k",), lambda section_k: [ClaimResult(
+        "(c) unit coefficient on dx^dw^ds1",
+        section_k.coefficient("dx", "dw", "ds1") == RationalFunction.constant(1))]),
+    # (d) pullback identities on the outer annulus
+    (("j", "glued_flat_j"), lambda j, glued_flat_j: [matrix_claim(
+        "(d) gluing pullback of flat J gives twisted J (outer)",
+        glued_flat_j, j.in_region(Region.OUTER).matrix)]),
+    (("phi", "phi_omega", "omega_k", "section_k"),
+     lambda phi, phi_omega, omega_k, section_k: [
+        form_claim("(d) gluing pullback of omega gives twisted omega (outer)",
+                   phi_omega, omega_k.in_region(Region.OUTER)),
+        form_claim("(d) gluing pullback of flat section gives twisted section (outer)",
+                   phi.pullback(canonical_section(0)), section_k.in_region(Region.OUTER)),
+    ]),
+    # (e) determinant-one twists preserve the symplectic form
+    (("tau", "omega"), lambda tau, omega: [form_claim(
+        "(e) twist preserves the symplectic form",
+        twist_coframe(tau).pullback(omega), omega)]),
+)
 
 
 def check_theorem5(k: KParam, tau) -> IdentityReport:
@@ -310,81 +362,38 @@ def check_theorem5(k: KParam, tau) -> IdentityReport:
     commute with T*, since T* leaves x and y unchanged. Only (e),
     T*omega = omega, depends on tau. A failing claim of (a)-(d) reports its
     residual in untwisted coordinates.
+
+    J is the input that a negative control replaces. The others are built
+    here once; none is derived from J: omega_k, s_k, s_k times the unit,
+    phi*omega, and the flat J conjugated by phi, whose inverse is the same
+    map with k negated, so nothing is eliminated.
     """
-    return _theorem5_report(k, tau, almost_complex_structure(k))
+    omega, phi, section_k = standard_symplectic_form(), gluing_map(k), canonical_section(k)
+    flat_j = almost_complex_structure(0)
+    return IdentityReport("canonical-class-vanishing", THEOREM5_CLAIMS, {
+        "tau": tau, "omega": omega, "phi": phi, "phi_omega": phi.pullback(omega),
+        "omega_k": interpolated_form(k), "section_k": section_k,
+        "section_times_unit": section_k * unit_scale(k),
+        "glued_flat_j": flat_j.conjugate_by(phi, gluing_map_inverse(k)).matrix,
+        "j": almost_complex_structure(k),
+    })
 
 
-def _theorem5_report(k: KParam, tau, j_k: LinearOperator) -> IdentityReport:
-    """Theorem 5's claims with ``j_k`` as the almost complex structure."""
-    report = IdentityReport("canonical-class-vanishing")
-    omega = standard_symplectic_form()
-    omega_k = interpolated_form(k)
-    section_k = canonical_section(k)
-
-    # (a) squares to minus the identity with f abstract
-    report.add_matrix_claim(
-        "(a) J^2 = -identity", j_k.square(), mat_neg(mat_identity(6))
-    )
-
-    # (b) compatibility with the interpolated symplectic form
-    compat = compatibility_check(j_k, omega_k, Region.MIDDLE)
-    report.add_flag_claim("(b) form invariance under J", compat.invariant)
-    report.add_flag_claim("(b) induced metric is symmetric", compat.symmetric)
-    report.add_flag_claim(
-        "(b) metric positive definite (certified leading minors)",
-        not compat.positivity_failures,
-        "; ".join(compat.positivity_failures),
-    )
-
-    # (c) the eigenform product equals the normalized section up to the
-    # nowhere-zero unit, and the normalized section has unit coefficient
-    report.add_form_claim(
-        "(c) eigenform product matches section up to the unit factor",
-        eigenform_product(j_k),
-        section_k * unit_scale(k),
-    )
-    report.add_flag_claim(
-        "(c) unit coefficient on dx^dw^ds1",
-        section_k.coefficient("dx", "dw", "ds1") == RationalFunction.constant(1),
-    )
-
-    # (d) pullback identities on the outer annulus. The gluing map's
-    # inverse is the same map with k negated, so nothing is eliminated.
-    phi = gluing_map(k)
-    report.add_matrix_claim(
-        "(d) gluing pullback of flat J gives twisted J (outer)",
-        almost_complex_structure(0).conjugate_by(phi, gluing_map_inverse(k)).matrix,
-        j_k.in_region(Region.OUTER).matrix,
-    )
-    report.add_form_claim(
-        "(d) gluing pullback of omega gives twisted omega (outer)",
-        phi.pullback(omega),
-        omega_k.in_region(Region.OUTER),
-    )
-    report.add_form_claim(
-        "(d) gluing pullback of flat section gives twisted section (outer)",
-        phi.pullback(canonical_section(0)),
-        section_k.in_region(Region.OUTER),
-    )
-
-    # (e) determinant-one twists preserve the symplectic form
-    twist = twist_coframe(tau)
-    report.add_form_claim(
-        "(e) twist preserves the symplectic form", twist.pullback(omega), omega
-    )
-    return report
-
-
-def negative_control_reports(k: KParam, tau) -> dict[str, IdentityReport]:
-    """Lemma 2's and theorem 5's claims on corrupted inputs, each of which
-    must FAIL: omega - alpha for omega + alpha, and J with the dy-coefficient
-    of J(dw), -1 - (kxf)^2, replaced by -1. Both corruptions carry a factor
-    k, so at k = 0 both inputs are the true ones and both reports pass."""
-    matrix = [row[:] for row in almost_complex_structure(k).matrix]
+def negative_control_reports(
+    lemma2: IdentityReport, theorem5: IdentityReport
+) -> dict[str, IdentityReport]:
+    """``check_lemma2``'s and ``check_theorem5``'s reports on corrupted
+    inputs, each of which must FAIL: omega - alpha for omega + alpha, and J
+    with the dy-coefficient of J(dw), -1 - (kxf)^2, replaced by -1. A
+    control reruns only the claim-table entries that read its corrupted
+    input. Every other entry has the same inputs as in the true report, so
+    the control copies its claims from there. Both corruptions carry a
+    factor k, so at k = 0 both inputs are the true ones and both reports
+    pass."""
+    omega, alpha = lemma2.inputs["omega"], lemma2.inputs["alpha"]
+    matrix = [row[:] for row in theorem5.inputs["j"].matrix]
     matrix[1][3] = RationalFunction.constant(-1)  # row dy, column dw
     return {
-        "alpha-sign-flip": _lemma2_report(
-            k, standard_symplectic_form() - correction_form(k)
-        ),
-        "dropped-quadratic-term": _theorem5_report(k, tau, LinearOperator(matrix)),
+        "alpha-sign-flip": lemma2.rerun("omega_tilde", omega - alpha),
+        "dropped-quadratic-term": theorem5.rerun("j", LinearOperator(matrix)),
     }

@@ -41,8 +41,8 @@ MUTANTS = (
     # -- negative controls: the corrupted inputs and claim (e) ---------------
     (
         "verification.py",
-        "k, standard_symplectic_form() - correction_form(k)",
-        "k, interpolated_form(k)",
+        'lemma2.rerun("omega_tilde", omega - alpha)',
+        'lemma2.rerun("omega_tilde", omega + alpha)',
         [VERIFICATION + "TestNegativeControls::test_inputs_differ_by_exactly_the_corruption"],
     ),
     (
@@ -59,7 +59,7 @@ MUTANTS = (
     ),
     (
         "verification.py",
-        "twist.pullback(omega), omega",
+        "twist_coframe(tau).pullback(omega), omega",
         "omega, omega",
         [VERIFICATION + "TestNegativeControls::test_determinant_minus_one_twist_fails_exactly_claim_e"],
     ),
@@ -68,6 +68,49 @@ MUTANTS = (
         '"dx": Form.from_terms((tau.s, "dx"), (tau.q, "dy")),',
         '"dx": Form.from_terms((tau.s, "dx"), (tau.r, "dy")),',
         [VERIFICATION + "TestNaturalityOracle::test_criterion6_twists[2]"],
+    ),
+    # -- the claim tables: a control reruns exactly what its corruption reaches
+    (
+        "verification.py",
+        '(("j",), lambda j: [',
+        '((), lambda j: [',
+        [
+            VERIFICATION + "TestNegativeControls::test_inputs_differ_by_exactly_the_corruption",
+            VERIFICATION + "TestNegativeControls::test_copied_claims_equal_a_full_rerun",
+        ],
+    ),
+    (
+        "verification.py",
+        '(("omega_tilde",), lambda omega_tilde: [',
+        '((), lambda omega_tilde: [',
+        [
+            VERIFICATION + "TestNegativeControls::test_inputs_differ_by_exactly_the_corruption",
+            VERIFICATION + "TestNegativeControls::test_copied_claims_equal_a_full_rerun",
+        ],
+    ),
+    (
+        "verification.py",
+        "_run(entry, inputs) if name in entry[0] else result",
+        "result",
+        [
+            VERIFICATION + "TestNegativeControls::test_inputs_differ_by_exactly_the_corruption",
+            VERIFICATION + "TestNegativeControls::test_copied_claims_equal_a_full_rerun",
+        ],
+    ),
+    (
+        "verification.py",
+        "if name in entry[0] else result",
+        "if name in entry[0][1:] else result",
+        [
+            VERIFICATION + "TestNegativeControls::test_inputs_differ_by_exactly_the_corruption",
+            VERIFICATION + "TestNegativeControls::test_copied_claims_equal_a_full_rerun",
+        ],
+    ),
+    (
+        "verification.py",
+        "inputs = {**self.inputs, name: value}",
+        "inputs = self.inputs",
+        [VERIFICATION + "TestNegativeControls::test_inputs_differ_by_exactly_the_corruption"],
     ),
     # -- the normal form of RationalFunction ---------------------------------
     (

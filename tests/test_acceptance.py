@@ -234,7 +234,9 @@ def test_criterion_08_smith_normal_form():
 
 def test_criterion_09_negative_controls():
     """Each single-formula corruption must break a check."""
-    controls = negative_control_reports("symbolic", SL2Z.identity())
+    controls = negative_control_reports(
+        check_lemma2("symbolic"), check_theorem5("symbolic", SL2Z.identity())
+    )
     corrupted_catalog_detected = False
     # The eighth 3-torus with its fixed value at coordinate 3 set to +1.
     tori = list(three_torus_catalog())

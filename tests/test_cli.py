@@ -135,6 +135,19 @@ class TestInputErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert repr(path) in err
 
+    # Each result holds an integer longer than Python's default limit of
+    # 4,300 digits: k^4 in a control's residual, or a torsion order of
+    # about 6,000 digits.
+    @pytest.mark.parametrize("argv", [
+        ("verify-forms", "--k=" + "9" * 1500, "--negative-controls", "--json"),
+        ("verify-forms", "--k=" + "9" * 3000, "--negative-controls"),
+        ("h1", "--k=" + "9" * 3000 + "," + "9" * 2999 + "8,1,1"),
+    ], ids=["verify-json", "verify-text", "h1"])
+    def test_result_integer_over_the_string_limit(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the result holds an integer of more than 4300 digits\n"
+
 
 class TestAsciiIntegers:
     """An integer flag takes an optional sign and ASCII digits only; other
@@ -281,8 +294,8 @@ class TestVerifyForms:
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         broken = IdentityReport(
-            "gluing-form-interpolation",
-            [ClaimResult("forced failure", False, "residual-term")],
+            "gluing-form-interpolation", (), {},
+            [[ClaimResult("forced failure", False, "residual-term")]],
         )
         monkeypatch.setattr(
             verification, "check_lemma2", lambda k: broken

@@ -23,6 +23,7 @@ from torus_surgery.forms import (
 )
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
+    IdentityReport,
     canonical_section,
     check_lemma2,
     check_theorem5,
@@ -49,6 +50,12 @@ from twisted_oracle import (
 )
 
 IDENTITY = SL2Z.identity()
+
+
+def control_reports(k, tau):
+    """The negative controls of ``verify-forms --k k --tau tau``, built from
+    the true reports as the command builds them."""
+    return negative_control_reports(check_lemma2(k), check_theorem5(k, tau))
 
 
 # The residual the sampled positivity claim gave for the dropped-quadratic-
@@ -207,8 +214,9 @@ class TestGluingFormInterpolation:
         assert gluing_map(5).pullback(standard_symplectic_form()) == expected
 
     def test_sign_flip_control_fails_on_outer_agreement(self, monkeypatch):
-        controls, corrupted, _ = control_inputs(monkeypatch, "symbolic", IDENTITY)
+        _, controls, runs = control_inputs(monkeypatch, "symbolic", IDENTITY)
         rep = controls["alpha-sign-flip"]
+        corrupted = runs[0][0]["omega_tilde"]
         assert not rep.passed
         failing = [c for c in rep.claims if not c.passed]
         assert any("(c)" in c.label for c in failing)
@@ -282,7 +290,7 @@ class TestCanonicalClassVanishing:
         assert len(positivity_samples("symbolic")) == 7 * 8
 
     def test_dropped_quadratic_term_control_fails(self):
-        rep = negative_control_reports("symbolic", IDENTITY)["dropped-quadratic-term"]
+        rep = control_reports("symbolic", IDENTITY)["dropped-quadratic-term"]
         assert not rep.passed
         failing = [c.label for c in rep.claims if not c.passed]
         assert any("J^2" in label for label in failing)
@@ -329,7 +337,7 @@ class TestDroppedQuadraticMinor:
     def test_new_detail_equals_old_minor(self, k):
         old, new = self._old_and_new(k)
         assert old == new
-        rep = negative_control_reports(k, IDENTITY)["dropped-quadratic-term"]
+        rep = control_reports(k, IDENTITY)["dropped-quadratic-term"]
         claim = next(c for c in rep.claims if c.label == self.LABEL)
         assert not claim.passed
         assert claim.residual == f"minor 2 not certified: {new}"
@@ -501,7 +509,7 @@ class TestNaturalityOracle:
     @pytest.mark.parametrize("k", ["symbolic", 2, -7, 0])
     def test_dropped_quadratic_term(self, k):
         for tau in (*TWISTS, SL2Z(13, 8, 21, 13)):
-            rep = negative_control_reports(k, tau)["dropped-quadratic-term"]
+            rep = control_reports(k, tau)["dropped-quadratic-term"]
             direct = direct_theorem5(k, tau, dropped_quadratic_structure(k))
             assert verdicts(rep) == verdicts(direct)
             # at k = 0 there is no quadratic term to drop
@@ -512,21 +520,44 @@ class TestNaturalityOracle:
 
 
 def control_inputs(monkeypatch, k, tau):
-    """The controls' reports, and the interpolated form and the almost
-    complex structure that ``negative_control_reports`` hands to the claim
-    code of lemma 2 and theorem 5."""
-    seen = {}
+    """The true reports of lemma 2 and theorem 5, their controls, and, in
+    order, each claim-table entry that ``negative_control_reports`` runs, as
+    (the inputs it is handed, its claims)."""
+    reports = check_lemma2(k), check_theorem5(k, tau)
+    runs = []
+    run = verification._run
 
-    def spy(real):
-        def wrapper(*args):
-            seen[real.__name__] = args[-1]
-            return real(*args)
-        return wrapper
+    def spy(entry, inputs):
+        claims = run(entry, inputs)
+        runs.append((inputs, claims))
+        return claims
 
-    for name in ("_lemma2_report", "_theorem5_report"):
-        monkeypatch.setattr(verification, name, spy(getattr(verification, name)))
-    controls = negative_control_reports(k, tau)
-    return controls, seen["_lemma2_report"], seen["_theorem5_report"]
+    monkeypatch.setattr(verification, "_run", spy)
+    return reports, negative_control_reports(*reports), runs
+
+
+# The claims that read each control's corrupted input, the interpolated form
+# of lemma 2 or the J of theorem 5, in report order. A control computes these
+# again and takes every other claim from the true report.
+RERUN_LABELS = {
+    "alpha-sign-flip": [
+        "(c) interpolated form agrees with pullback (outer)",
+        "(c) interpolated form agrees with original (inner)",
+        "(d) d(interpolated form) = 0 (inner)",
+        "(d) d(interpolated form) = 0 (outer)",
+        "(e) top power preserved (inner)",
+        "(e) top power preserved (middle)",
+        "(e) top power preserved (outer)",
+    ],
+    "dropped-quadratic-term": [
+        "(a) J^2 = -identity",
+        "(b) form invariance under J",
+        "(b) induced metric is symmetric",
+        "(b) metric positive definite (certified leading minors)",
+        "(c) eigenform product matches section up to the unit factor",
+        "(d) gluing pullback of flat J gives twisted J (outer)",
+    ],
+}
 
 
 # The twists of the "Verify output bytes" CI step.
@@ -535,14 +566,22 @@ PINNED_TWISTS = (IDENTITY, SL2Z(13, 8, 21, 13), SL2Z(0, 1, -1, -1), SL2Z(2, 3, 1
 
 class TestNegativeControls:
     def test_both_controls_fail_as_designed(self):
-        controls = negative_control_reports("symbolic", IDENTITY)
+        controls = control_reports("symbolic", IDENTITY)
         assert set(controls) == {"alpha-sign-flip", "dropped-quadratic-term"}
         for rep in controls.values():
             assert not rep.passed
 
     @pytest.mark.parametrize("k", ["symbolic", -7])
     def test_inputs_differ_by_exactly_the_corruption(self, monkeypatch, k):
-        _, omega_tilde, j = control_inputs(monkeypatch, k, SL2Z(2, 3, 1, 2))
+        reports, _, runs = control_inputs(monkeypatch, k, SL2Z(2, 3, 1, 2))
+        # Each control runs exactly the entries that read its corrupted
+        # input, and hands them the true inputs but that one.
+        for report, corrupted, labels in zip(reports, ("omega_tilde", "j"), RERUN_LABELS.values()):
+            handed = [run for run in runs if run[0].keys() == report.inputs.keys()]
+            assert [c.label for _, claims in handed for c in claims] == labels
+            for inputs, _ in handed:
+                assert [n for n in inputs if inputs[n] is not report.inputs[n]] == [corrupted]
+        omega_tilde, j = runs[0][0]["omega_tilde"], runs[-1][0]["j"]
         assert omega_tilde - interpolated_form(k) == -2 * correction_form(k)
         kxf = k_coefficient(k) * RationalFunction.variable("x") * RationalFunction.variable("f")
         difference = [
@@ -557,11 +596,21 @@ class TestNegativeControls:
     @pytest.mark.parametrize("k", ["symbolic", -7, 2, 0])
     def test_reports_do_not_depend_on_tau(self, k):
         def documents(tau):
-            return {n: r.to_json() for n, r in negative_control_reports(k, tau).items()}
+            return {n: r.to_json() for n, r in control_reports(k, tau).items()}
 
         untwisted = documents(IDENTITY)
         for tau in PINNED_TWISTS[1:]:
             assert documents(tau) == untwisted
+
+    @pytest.mark.parametrize("k", ["symbolic", -7, 2, 0])
+    def test_copied_claims_equal_a_full_rerun(self, k):
+        # A control copies the true result of each entry that does not read
+        # its corrupted input; running every entry on its inputs must give
+        # the same report.
+        for tau in PINNED_TWISTS:
+            for control in control_reports(k, tau).values():
+                full = IdentityReport(control.name, control.table, control.inputs)
+                assert control.to_json() == full.to_json()
 
     @pytest.mark.parametrize("k", ["symbolic", 2])
     def test_determinant_minus_one_twist_fails_exactly_claim_e(self, k):
@@ -584,6 +633,6 @@ class TestReports:
         assert json.dumps(doc) == json.dumps(again)
 
     def test_failing_claim_records_residual(self):
-        rep = negative_control_reports(1, IDENTITY)["alpha-sign-flip"]
+        rep = control_reports(1, IDENTITY)["alpha-sign-flip"]
         failing = [c for c in rep.to_json()["claims"] if not c["passed"]]
         assert failing and all("residual" in c for c in failing)

@@ -29,13 +29,16 @@ from torus_surgery.forms import (
 )
 from torus_surgery.surgery import SL2Z
 from torus_surgery.verification import (
+    ClaimResult,
     IdentityReport,
     almost_complex_structure,
     canonical_section,
     gluing_map,
     gluing_map_inverse,
+    form_claim,
     interpolated_form,
     k_coefficient,
+    matrix_claim,
     standard_symplectic_form,
     twist_coframe,
     unit_scale,
@@ -91,8 +94,6 @@ def twisted_metric(k, tau, j):
 def direct_theorem5(k, tau, j):
     """check_theorem5's claims for the untwisted structure j, each computed
     in twisted coordinates."""
-    report = IdentityReport("canonical-class-vanishing")
-
     twist = twist_coframe(tau)
     twist_inv = twist_coframe(tau.inverse())
 
@@ -103,64 +104,58 @@ def direct_theorem5(k, tau, j):
     section_k = twist.pullback(canonical_section(k))
     section_0 = twist.pullback(canonical_section(0))
 
-    report.add_matrix_claim(
-        "(a) J^2 = -identity", j_k.square(), mat_neg(mat_identity(6))
-    )
+    claims = [matrix_claim("(a) J^2 = -identity", j_k.square(), mat_neg(mat_identity(6)))]
 
     # (b) invariance and symmetry of the twisted metric; positivity after
     # the change of basis by the inverse twist, which gives back the
     # untwisted metric, whose minors are certifiable
     big_omega = omega_matrix(omega_k)
     g = metric(j_k, omega_k)
-    report.add_flag_claim(
-        "(b) form invariance under J", mat_equal(mat_mul(j_k.matrix, g), big_omega)
-    )
-    report.add_flag_claim(
-        "(b) induced metric is symmetric", mat_equal(g, mat_transpose(g))
-    )
     u = twist_inv.matrix
     failures = _positivity_failures(mat_mul(u, mat_mul(g, mat_transpose(u))))
-    report.add_flag_claim(
-        "(b) metric positive definite (certified leading minors)",
-        not failures,
-        "; ".join(failures),
-    )
+    claims += [
+        ClaimResult("(b) form invariance under J", mat_equal(mat_mul(j_k.matrix, g), big_omega)),
+        ClaimResult("(b) induced metric is symmetric", mat_equal(g, mat_transpose(g))),
+        ClaimResult("(b) metric positive definite (certified leading minors)",
+                    not failures, "; ".join(failures) or None),
+    ]
 
     # (c) the eigenform product of the twisted generators
     generators = [twist.pullback(Form.generator(g)) for g in ("dx", "dw", "ds1")]
     factors = [g - j_k(g) * I for g in generators]
-    report.add_form_claim(
-        "(c) eigenform product matches section up to the unit factor",
-        factors[0].wedge(factors[1]).wedge(factors[2]),
-        section_k * unit_scale(k),
-    )
-    report.add_flag_claim(
-        "(c) unit coefficient on dx^dw^ds1",
-        twist_inv.pullback(section_k).coefficient("dx", "dw", "ds1")
-        == RationalFunction.constant(1),
-    )
+    claims += [
+        form_claim(
+            "(c) eigenform product matches section up to the unit factor",
+            factors[0].wedge(factors[1]).wedge(factors[2]),
+            section_k * unit_scale(k),
+        ),
+        ClaimResult(
+            "(c) unit coefficient on dx^dw^ds1",
+            twist_inv.pullback(section_k).coefficient("dx", "dw", "ds1")
+            == RationalFunction.constant(1),
+        ),
+    ]
 
     # (d) the twisted gluing map and its inverse, each the composite around
     # the untwisted one
     phi_twisted = compose(compose(twist_inv, gluing_map(k)), twist)
     phi_twisted_inv = compose(compose(twist_inv, gluing_map_inverse(k)), twist)
-    report.add_matrix_claim(
-        "(d) gluing pullback of flat J gives twisted J (outer)",
-        j_0.conjugate_by(phi_twisted, phi_twisted_inv).matrix,
-        j_k.in_region(Region.OUTER).matrix,
-    )
-    report.add_form_claim(
-        "(d) gluing pullback of omega gives twisted omega (outer)",
-        phi_twisted.pullback(omega),
-        omega_k.in_region(Region.OUTER),
-    )
-    report.add_form_claim(
-        "(d) gluing pullback of flat section gives twisted section (outer)",
-        phi_twisted.pullback(section_0),
-        section_k.in_region(Region.OUTER),
-    )
-
-    report.add_form_claim(
-        "(e) twist preserves the symplectic form", twist.pullback(omega), omega
-    )
-    return report
+    claims += [
+        matrix_claim(
+            "(d) gluing pullback of flat J gives twisted J (outer)",
+            j_0.conjugate_by(phi_twisted, phi_twisted_inv).matrix,
+            j_k.in_region(Region.OUTER).matrix,
+        ),
+        form_claim(
+            "(d) gluing pullback of omega gives twisted omega (outer)",
+            phi_twisted.pullback(omega),
+            omega_k.in_region(Region.OUTER),
+        ),
+        form_claim(
+            "(d) gluing pullback of flat section gives twisted section (outer)",
+            phi_twisted.pullback(section_0),
+            section_k.in_region(Region.OUTER),
+        ),
+        form_claim("(e) twist preserves the symplectic form", twist.pullback(omega), omega),
+    ]
+    return IdentityReport("canonical-class-vanishing", (), {}, [claims])
